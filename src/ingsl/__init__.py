@@ -65,62 +65,3 @@ from .pruning import (
     train_ingsl,
 )
 from .tensor import Tape, Tensor, backward, gradient_check
-
-__all__ = [
-    "analysis",
-    "errors",
-    "gnn",
-    "graph",
-    "gsl",
-    "pruning",
-    "tensor",
-    "Tensor",
-    "Tape",
-    "backward",
-    "gradient_check",
-    "Graph",
-    "SparseAdjacency",
-    "normalize_adjacency",
-    "edge_homophily",
-    "generate_sbm",
-    "inject_structural_noise",
-    "mask_features",
-    "load_bundle",
-    "save_bundle",
-    "GcnParams",
-    "TrainState",
-    "gcn_forward",
-    "task_loss",
-    "accuracy",
-    "adam_step",
-    "flops_estimate",
-    "spectral_norm",
-    "make_gcn_params",
-    "CandidateGraph",
-    "encode_structure",
-    "build_candidates",
-    "gsl_objective",
-    "feature_smoothness",
-    "fuse_with_original",
-    "DiversityScorer",
-    "PruneConfig",
-    "TrainConfig",
-    "TrainResult",
-    "KEEP_ALL",
-    "make_scorer",
-    "diversity_scores",
-    "prune",
-    "keep_count",
-    "select_threshold",
-    "sample_batch",
-    "mi_loss",
-    "total_loss",
-    "train_ingsl",
-    "LemmaReport",
-    "avg_pairwise_similarity",
-    "lemma1_bound",
-    "lemma1_check",
-    "lemma2_check",
-    "redundancy_profile",
-    "complexity_estimate",
-]

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .graph import (
 )
 from .gsl import CandidateGraph, build_candidates
 from .pruning import (
-    MODES,
     PruneConfig,
     TrainConfig,
     diversity_scores,
@@ -50,36 +51,30 @@ from .pruning import (
     train_ingsl,
 )
 
-_TOP_KEYS = {
-    "dataset",
-    "k",
-    "reduction_levels",
-    "beta",
-    "lambda",
-    "scorer_kind",
-    "lr",
-    "epochs",
-    "patience",
-    "seeds",
-    "mode",
-    "modes",
-    "noise",
-    "batch_size",
-    "residual_weight",
-    "hidden",
-    "metric",
+_SBM_SPEC = {
+    "block_sizes": list[int],
+    "p_in": float,
+    "p_out": float,
+    "feature_dim": int,
+    "feature_noise": float,
+    "seed": int,
 }
-_SBM_KEYS = {"block_sizes", "p_in", "p_out", "feature_dim", "feature_noise", "seed"}
-_NOISE_KEYS = {"add_ratio", "del_ratio", "feature_mask_ratio"}
+_NOISE_SPEC = {"add_ratio": float, "del_ratio": float, "feature_mask_ratio": float}
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment: the dataset, the (mode, r, seed) grid and the training
+    settings. The fields are the config file's schema: each field's JSON key
+    is its name (or ``metadata["key"]``), its annotation is the JSON type and
+    its default applies when the key is absent. A field named like a
+    ``TrainConfig`` or ``PruneConfig`` field is passed on to it unchanged."""
+
     dataset: dict
     k: int = 30
     reduction_levels: list[float] = field(default_factory=lambda: [0.5])
     beta: float = 0.5
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
     scorer_kind: str = "bilinear"
     lr: float = 1e-2
     epochs: int = 300
@@ -93,106 +88,102 @@ class ExperimentConfig:
     metric: str = "inner"
 
     def __post_init__(self):
-        if not (1e-5 <= self.lr <= 5e-2):
-            raise ConfigError(f"lr must lie in [1e-5, 5e-2], got {self.lr}")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
-        if not self.reduction_levels:
-            raise ConfigError("reduction_levels must be non-empty")
-        for r in self.reduction_levels:
-            if not (0.0 <= r < 1.0):
-                raise ConfigError(f"reduction level {r} outside [0, 1)")
+        for name in ("seeds", "reduction_levels", "modes"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
+        # Range rules live in TrainConfig/PruneConfig; building every cell's
+        # config here makes a bad value fail before any dataset is built.
         for mode in self.modes:
-            if mode not in MODES:
-                raise ConfigError(f"unknown mode {mode!r}")
-        if not (0.0 <= self.beta <= 1.0):
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
+            for r in self.reduction_levels:
+                for seed in self.seeds:
+                    self.train_config(mode, r, seed)
+
+    def train_config(self, mode: str, r: float, seed: int) -> TrainConfig:
+        return TrainConfig(
+            prune=PruneConfig(reduction=r, seed=seed, **_shared(self, PruneConfig)),
+            mode=mode,
+            **_shared(self, TrainConfig),
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "k": self.k,
-            "reduction_levels": self.reduction_levels,
-            "beta": self.beta,
-            "lambda": self.lam,
-            "scorer_kind": self.scorer_kind,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "seeds": self.seeds,
-            "modes": self.modes,
-            "noise": self.noise,
-            "batch_size": self.batch_size,
-            "residual_weight": self.residual_weight,
-            "hidden": self.hidden,
-            "metric": self.metric,
-        }
+        return {key: getattr(self, f.name) for key, f in _FIELDS.items()}
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _shared(cfg: ExperimentConfig, cls) -> dict:
+    """The fields of ``cfg`` that dataclass ``cls`` has too, by name."""
+    names = {f.name for f in fields(cfg)}
+    return {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in names}
+
+
+_FIELDS = {f.metadata.get("key", f.name): f for f in fields(ExperimentConfig)}
+_TYPES = get_type_hints(ExperimentConfig)
+_SPEC = {key: _TYPES[f.name] for key, f in _FIELDS.items()}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "a JSON object"}
+
+
+def _check_type(value, hint, where: str) -> None:
+    """Raise ConfigError unless the JSON value matches the annotation: a
+    scalar type, dict, ``list[X]`` or ``X | None``. bool is not a number."""
+    options = get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return
+        (hint,) = [a for a in options if a is not type(None)]
+    if get_origin(hint) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {type(value).__name__}")
+        (item,) = get_args(hint)
+        for i, v in enumerate(value):
+            _check_type(v, item, f"{where}[{i}]")
+        return
+    ok = isinstance(value, hint) or (hint is float and isinstance(value, int))
+    if isinstance(value, bool) or not ok or (isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[hint]}, got {value!r:.40}")
+
+
+def _check_object(obj, spec: dict, where: str, required=()) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(spec))
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ConfigError(f"{where} missing keys: {', '.join(missing)}")
+    prefix = "" if where == "config" else f"{where}."
+    for key, value in obj.items():
+        _check_type(value, spec[key], prefix + key)
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(obj, _TOP_KEYS, "config")
-    if "dataset" not in obj:
-        raise ConfigError("config requires a dataset entry")
+    if isinstance(obj, dict) and "mode" in obj:  # "mode": one mode or a list
+        if "modes" in obj:
+            raise ConfigError("give either mode or modes, not both")
+        obj = dict(obj)
+        mode = obj.pop("mode")
+        obj["modes"] = [mode] if isinstance(mode, str) else mode
+    _check_object(obj, _SPEC, "config", required=["dataset"])
     dataset = obj["dataset"]
-    if not isinstance(dataset, dict) or len(dataset) != 1 or next(iter(dataset)) not in (
-        "bundle",
-        "sbm",
-    ):
+    if len(dataset) != 1 or next(iter(dataset)) not in ("bundle", "sbm"):
         raise ConfigError('dataset must be {"bundle": path} or {"sbm": {...}}')
     if "sbm" in dataset:
-        _reject_unknown(dataset["sbm"], _SBM_KEYS, "dataset.sbm")
-        missing = _SBM_KEYS - set(dataset["sbm"])
-        if missing:
-            raise ConfigError(f"dataset.sbm missing keys: {', '.join(sorted(missing))}")
-    noise = obj.get("noise")
-    if noise is not None:
-        _reject_unknown(noise, _NOISE_KEYS, "noise")
-
-    modes = obj.get("modes")
-    if modes is None and "mode" in obj:
-        mode = obj["mode"]
-        modes = [mode] if isinstance(mode, str) else list(mode)
-    kwargs = dict(
-        dataset=dataset,
-        noise=noise,
-        modes=modes if modes is not None else ["ingsl"],
-    )
-    for key, attr in (
-        ("k", "k"),
-        ("reduction_levels", "reduction_levels"),
-        ("beta", "beta"),
-        ("lambda", "lam"),
-        ("scorer_kind", "scorer_kind"),
-        ("lr", "lr"),
-        ("epochs", "epochs"),
-        ("patience", "patience"),
-        ("seeds", "seeds"),
-        ("batch_size", "batch_size"),
-        ("residual_weight", "residual_weight"),
-        ("hidden", "hidden"),
-        ("metric", "metric"),
-    ):
-        if key in obj:
-            kwargs[attr] = obj[key]
-    return ExperimentConfig(**kwargs)
+        _check_object(dataset["sbm"], _SBM_SPEC, "dataset.sbm", required=_SBM_SPEC)
+    else:
+        _check_type(dataset["bundle"], str, "dataset.bundle")
+    if obj.get("noise") is not None:
+        _check_object(obj["noise"], _NOISE_SPEC, "noise")
+    return ExperimentConfig(**{_FIELDS[key].name: value for key, value in obj.items()})
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path):
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_config(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +194,7 @@ def load_config(path) -> ExperimentConfig:
 def resolve_dataset(cfg: ExperimentConfig) -> Graph:
     if "bundle" in cfg.dataset:
         return load_bundle(cfg.dataset["bundle"])
-    spec = cfg.dataset["sbm"]
-    return generate_sbm(
-        spec["block_sizes"],
-        spec["p_in"],
-        spec["p_out"],
-        spec["feature_dim"],
-        spec["feature_noise"],
-        spec["seed"],
-    )
+    return generate_sbm(**cfg.dataset["sbm"])
 
 
 def _apply_noise(g: Graph, noise: dict | None, seed: int) -> Graph:
@@ -229,23 +212,8 @@ def _apply_noise(g: Graph, noise: dict | None, seed: int) -> Graph:
 
 def run_cell(cfg: ExperimentConfig, base: Graph, mode: str, r: float, seed: int) -> dict:
     g = _apply_noise(base, cfg.noise, seed)
-    tc = TrainConfig(
-        prune=PruneConfig(
-            reduction=r, beta=cfg.beta, batch_size=cfg.batch_size, seed=seed
-        ),
-        mode=mode,
-        k=cfg.k,
-        hidden=cfg.hidden,
-        lr=cfg.lr,
-        epochs=cfg.epochs,
-        patience=cfg.patience,
-        lam=cfg.lam,
-        residual_weight=cfg.residual_weight,
-        scorer_kind=cfg.scorer_kind,
-        metric=cfg.metric,
-    )
     t0 = time.perf_counter()
-    result = train_ingsl(g, tc)
+    result = train_ingsl(g, cfg.train_config(mode, r, seed))
     wall = time.perf_counter() - t0
     rep = result.report
     return {
@@ -333,7 +301,7 @@ def _write_cells_csv(path: Path, cells: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tiny_adjacency(rng: np.random.Generator, n: int, values: T.Tensor | None = None):
+def _tiny_adjacency(rng: np.random.Generator, n: int) -> SparseAdjacency:
     """Small random CSR structure (two fixed neighbors per row)."""
     cols = []
     for i in range(n):
@@ -341,132 +309,79 @@ def _tiny_adjacency(rng: np.random.Generator, n: int, values: T.Tensor | None = 
         cols.extend(picks)
     offsets = np.arange(n + 1, dtype=np.int64) * 2
     cols = np.array(cols, dtype=np.int64)
-    if values is None:
-        values = T.parameter(rng.uniform(0.2, 1.0, cols.shape[0]))
+    values = T.parameter(rng.uniform(0.2, 1.0, cols.shape[0]))
     return SparseAdjacency(offsets, cols, values, n)
 
 
 def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
-    """Named finite-difference checks, one per registered differentiable op.
+    """Named finite-difference checks: one per differentiable tensor op, then
+    the composite stages training runs.
 
+    Each op row is (name, op, leaf shapes, leaf domain). Its objective weights
+    output entry i by i + 1, so a backward rule that permutes, drops or
+    misroutes entries cannot cancel out. The table is built on every call, so
+    it binds the tensor module's ops as they are then, wrapped or not.
     Instances avoid relu/threshold kinks by construction (margins > 1e-1 on
     sampled coordinates, fixed seeds elsewhere).
     """
     rng = np.random.default_rng([seed, 11])
-
-    def leaf(*shape, lo=-1.0, hi=1.0):
-        return T.parameter(rng.uniform(lo, hi, shape))
-
-    def away_from_zero(*shape):
-        return T.parameter(rng.uniform(0.15, 1.0, shape) * rng.choice([-1.0, 1.0], shape))
-
-    checks: list[tuple[str, callable]] = []
-
-    a, b = leaf(3, 4), leaf(3, 4)
-    checks.append(("add", lambda: T.gradient_check(lambda p, q: T.sum_all(T.add(p, q)), [a, b])))
-    checks.append(("sub", lambda: T.gradient_check(lambda p, q: T.sum_all(T.sub(p, q)), [a, b])))
-    checks.append(("mul", lambda: T.gradient_check(lambda p, q: T.sum_all(T.mul(p, q)), [a, b])))
-
-    ma, mb = leaf(4, 3), leaf(3, 2)
-    checks.append(
-        ("matmul", lambda: T.gradient_check(lambda p, q: T.sum_all(T.matmul(p, q)), [ma, mb]))
-    )
-    mt = leaf(3, 5)
-    checks.append(
-        ("transpose", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.mul(T.transpose(p), T.transpose(p))), [mt]))
-    )
-    checks.append(
-        ("reshape", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.mul(T.reshape(p, (15,)), 2.0)), [mt]))
-    )
-
-    xr = away_from_zero(4, 4)
-    checks.append(("relu", lambda: T.gradient_check(lambda p: T.sum_all(T.relu(p)), [xr])))
-    xs = leaf(4, 4, lo=-2.0, hi=2.0)
-    checks.append(("sigmoid", lambda: T.gradient_check(lambda p: T.sum_all(T.sigmoid(p)), [xs])))
-    checks.append(("exp", lambda: T.gradient_check(lambda p: T.sum_all(T.exp(p)), [xs])))
-    xl = leaf(4, 4, lo=0.5, hi=2.0)
-    checks.append(("log", lambda: T.gradient_check(lambda p: T.sum_all(T.log(p)), [xl])))
-    checks.append(
-        ("pow_const", lambda: T.gradient_check(lambda p: T.sum_all(T.pow_const(p, -0.5)), [xl]))
-    )
-    xn = leaf(5, 3, lo=0.5, hi=1.5)
-    checks.append(
-        ("row_l2_normalize", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.mul(T.row_l2_normalize(p), T.constant(np.arange(15.0).reshape(5, 3)))),
-            [xn]))
-    )
-
-    checks.append(("sum_all", lambda: T.gradient_check(lambda p: T.sum_all(p), [leaf(3, 3)])))
-    rs = leaf(4, 3)
-    checks.append(
-        ("row_sum", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.mul(T.row_sum(p), T.constant(np.arange(4.0)))), [rs]))
-    )
-    ra, rb = leaf(4, 3), leaf(4, 3)
-    checks.append(
-        ("rowwise_dot", lambda: T.gradient_check(
-            lambda p, q: T.sum_all(T.rowwise_dot(p, q)), [ra, rb]))
-    )
-
-    gx = leaf(5, 3)
-    gidx = np.array([0, 2, 2, 4])
-    checks.append(
-        ("gather_rows", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.mul(T.gather_rows(p, gidx), T.constant(np.arange(12.0).reshape(4, 3)))),
-            [gx]))
-    )
-    tv = leaf(6)
-    tidx = np.array([1, 1, 3, 5])
-    checks.append(
-        ("take", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.mul(T.take(p, tidx), T.constant(np.arange(1.0, 5.0)))), [tv]))
-    )
-    gp = leaf(4, 4)
-    checks.append(
-        ("gather_pairs", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.gather_pairs(p, np.array([0, 1, 1]), np.array([2, 0, 3]))), [gp]))
-    )
-    ca, cb = leaf(3, 2), leaf(3, 3)
-    checks.append(
-        ("concat_cols", lambda: T.gradient_check(
-            lambda p, q: T.sum_all(T.mul(T.concat_cols(p, q), T.constant(np.arange(15.0).reshape(3, 5)))),
-            [ca, cb]))
-    )
-    va, vb = leaf(3), leaf(4)
-    checks.append(
-        ("concat_vec", lambda: T.gradient_check(
-            lambda p, q: T.sum_all(T.mul(T.concat_vec(p, q), T.constant(np.arange(7.0)))), [va, vb]))
-    )
-    sv = leaf(6)
-    seg = np.array([0, 1, 1, 2, 0, 2])
-    checks.append(
-        ("segment_sum", lambda: T.gradient_check(
-            lambda p: T.sum_all(T.mul(T.segment_sum(p, seg, 3), T.constant(np.array([1.0, 2.0, 3.0])))),
-            [sv]))
-    )
-
-    adj_vals = T.parameter(rng.uniform(0.2, 1.0, 12))
-    adj = _tiny_adjacency(np.random.default_rng([seed, 12]), 6, adj_vals)
-    dense = leaf(6, 3)
-    checks.append(
-        ("spmm", lambda: T.gradient_check(
-            lambda v, d: T.sum_all(T.mul(
-                T.spmm(adj.row_offsets, adj.col_indices, v, d),
-                T.constant(np.arange(18.0).reshape(6, 3)))),
-            [adj_vals, dense]))
-    )
-    nw = T.parameter(rng.uniform(0.2, 1.0, 8))
+    domains = {
+        "any": lambda shape: rng.uniform(-1.0, 1.0, shape),
+        "positive": lambda shape: rng.uniform(0.5, 2.0, shape),
+        "off_zero": lambda shape: rng.uniform(0.15, 1.0, shape) * rng.choice([-1.0, 1.0], shape),
+    }
+    adj = _tiny_adjacency(np.random.default_rng([seed, 12]), 6)
     nsrc = np.array([0, 1, 2, 3, 1, 2, 3, 0])
     ndst = np.array([1, 0, 3, 2, 2, 1, 0, 3])
-    checks.append(
-        ("normalize_entries", lambda: T.gradient_check(
-            lambda v: T.sum_all(T.mul(
-                normalize_entries(4, nsrc, ndst, v).values,
-                T.constant(np.arange(1.0, 13.0)))),
-            [nw]))
-    )
+    rows = [
+        ("add", T.add, [(3, 4), (3, 4)], "any"),
+        ("sub", T.sub, [(3, 4), (3, 4)], "any"),
+        ("mul", T.mul, [(3, 4), (3, 4)], "any"),
+        ("matmul", T.matmul, [(4, 3), (3, 2)], "any"),
+        ("transpose", T.transpose, [(3, 5)], "any"),
+        ("reshape", lambda p: T.reshape(p, (15,)), [(3, 5)], "any"),
+        ("relu", T.relu, [(4, 4)], "off_zero"),
+        ("sigmoid", T.sigmoid, [(4, 4)], "any"),
+        ("exp", T.exp, [(4, 4)], "any"),
+        ("log", T.log, [(4, 4)], "positive"),
+        ("pow_const", lambda p: T.pow_const(p, -0.5), [(4, 4)], "positive"),
+        ("row_l2_normalize", T.row_l2_normalize, [(5, 3)], "positive"),
+        ("row_l2_normalize_or_zero", T.row_l2_normalize_or_zero, [(5, 3)], "positive"),
+        ("sum_all", T.sum_all, [(3, 3)], "any"),
+        ("row_sum", T.row_sum, [(4, 3)], "any"),
+        ("rowwise_dot", T.rowwise_dot, [(4, 3), (4, 3)], "any"),
+        ("gather_rows", lambda p: T.gather_rows(p, [0, 2, 2, 4]), [(5, 3)], "any"),
+        ("take", lambda p: T.take(p, [1, 1, 3, 5]), [(6,)], "any"),
+        ("gather_pairs", lambda p: T.gather_pairs(p, [0, 1, 1], [2, 0, 3]), [(4, 4)], "any"),
+        ("concat_cols", T.concat_cols, [(3, 2), (3, 3)], "any"),
+        ("concat_vec", T.concat_vec, [(3,), (4,)], "any"),
+        ("segment_sum", lambda p: T.segment_sum(p, [0, 1, 1, 2, 0, 2], 3), [(6,)], "any"),
+        (
+            "spmm",
+            lambda v, d: T.spmm(adj.row_offsets, adj.col_indices, v, d),
+            [(adj.nnz,), (6, 3)],
+            "any",
+        ),
+        (
+            "normalize_entries",
+            lambda v: normalize_entries(4, nsrc, ndst, v).values,
+            [(8,)],
+            "positive",
+        ),
+    ]
+
+    def weighted(op, leaves):
+        def objective(*xs):
+            out = op(*xs)
+            w = np.arange(1.0, out.size + 1).reshape(out.shape)
+            return T.sum_all(T.mul(out, T.constant(w)))
+
+        return lambda: T.gradient_check(objective, leaves)
+
+    checks: list[tuple[str, callable]] = [
+        (name, weighted(op, [T.parameter(domains[domain](s)) for s in shapes]))
+        for name, op, shapes, domain in rows
+    ]
 
     def gcn_check():
         rng2 = np.random.default_rng([seed, 13])
@@ -675,17 +590,7 @@ def cmd_gradcheck(seed: int, out: Path | None, trials: int = 1) -> int:
 
 def cmd_diagnose_redundancy(cfg: ExperimentConfig, k_values: list[int], out: Path) -> int:
     base = resolve_dataset(cfg)
-    tc = TrainConfig(
-        prune=PruneConfig(reduction=0.0, beta=0.0, seed=cfg.seeds[0]),
-        mode="no_reduction",
-        k=cfg.k,
-        hidden=cfg.hidden,
-        lr=cfg.lr,
-        epochs=cfg.epochs,
-        patience=cfg.patience,
-        metric=cfg.metric,
-    )
-    result = train_ingsl(base, tc)
+    result = train_ingsl(base, cfg.train_config("no_reduction", 0.0, cfg.seeds[0]))
     profile = redundancy_profile(result.embeddings, k_values)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,mean_pairwise_cosine"] + [f"{k},{v!r}" for k, v in profile]
@@ -696,18 +601,13 @@ def cmd_diagnose_redundancy(cfg: ExperimentConfig, k_values: list[int], out: Pat
 
 
 def cmd_gen_sbm(cfg_obj: dict, out: Path) -> int:
-    spec = cfg_obj.get("sbm") or cfg_obj.get("dataset", {}).get("sbm")
-    if spec is None:
+    """``cfg_obj`` is an experiment config or a bare dataset ``{"sbm": spec}``."""
+    if not (isinstance(cfg_obj, dict) and "dataset" in cfg_obj):
+        cfg_obj = {"dataset": cfg_obj}
+    cfg = parse_config(cfg_obj)
+    if "sbm" not in cfg.dataset:
         raise ConfigError("gen-sbm needs an sbm spec in the config")
-    _reject_unknown(spec, _SBM_KEYS, "sbm")
-    g = generate_sbm(
-        spec["block_sizes"],
-        spec["p_in"],
-        spec["p_out"],
-        spec["feature_dim"],
-        spec["feature_noise"],
-        spec["seed"],
-    )
+    g = resolve_dataset(cfg)
     save_bundle(g, out)
     print(f"wrote bundle with n={g.n}, edges={g.num_edges} to {out}")
     return 0
@@ -759,9 +659,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command in ("train", "sweep", "diagnose-redundancy"):
-            cfg = load_config(args.config)
+            cfg = parse_config(_read_json(args.config))
             if args.seed is not None:
-                cfg.seeds = [args.seed]
+                cfg = replace(cfg, seeds=[args.seed])
             out = Path(args.out)
             if args.command == "train":
                 return cmd_train(cfg, out)
@@ -776,13 +676,7 @@ def main(argv=None) -> int:
             out = Path(args.out) if args.out else None
             return cmd_gradcheck(args.seed, out, args.trials)
         if args.command == "gen-sbm":
-            try:
-                cfg_obj = json.loads(Path(args.config).read_text())
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {args.config}") from None
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-            return cmd_gen_sbm(cfg_obj, Path(args.out))
+            return cmd_gen_sbm(_read_json(args.config), Path(args.out))
         raise ConfigError(f"unknown command {args.command!r}")
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

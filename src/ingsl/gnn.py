@@ -140,10 +140,11 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> Tra
 
 
 def flops_estimate(adj_edge_count: int, layer_dims: list[int], n: int) -> int:
-    """Multiply-add count: sum_l 2*m*d_l aggregation + 2*n*d_{l-1}*d_l dense."""
+    """Multiply-add count of the GCN layers, which compute (A H) W: per layer
+    2*m*d_{l-1} for the aggregation plus 2*n*d_{l-1}*d_l for the transform."""
     total = 0
     for lo, hi in zip(layer_dims, layer_dims[1:]):
-        total += 2 * adj_edge_count * hi + 2 * n * lo * hi
+        total += 2 * adj_edge_count * lo + 2 * n * lo * hi
     return total
 
 

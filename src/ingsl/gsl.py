@@ -39,6 +39,9 @@ def encode_structure(
     return e
 
 
+METRICS = ("inner", "cosine")
+
+
 def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGraph:
     """Keep the k most similar other nodes per row of the embedding matrix.
 
@@ -52,7 +55,7 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
     n = e.shape[0]
     if k < 1 or k >= n:
         raise ConfigError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if metric not in ("inner", "cosine"):
+    if metric not in METRICS:
         raise ConfigError(f"unknown similarity metric {metric!r}")
 
     base = T.row_l2_normalize_or_zero(e) if metric == "cosine" else e

@@ -34,6 +34,7 @@ from .gnn import (
 )
 from .graph import Graph, SparseAdjacency, normalize_adjacency
 from .gsl import (
+    METRICS,
     CandidateGraph,
     build_candidates,
     encode_structure,
@@ -43,6 +44,7 @@ from .gsl import (
 )
 
 MODES = ("ingsl", "similarity_only", "random_prune", "no_reduction")
+SCORER_KINDS = ("bilinear", "mlp")
 KEEP_ALL = float("-inf")  # sentinel threshold: every candidate survives
 
 
@@ -108,11 +110,7 @@ def diversity_scores(
     heads = T.gather_rows(e, src)
     tails = T.gather_rows(e, dst)
     if scorer.kind == "bilinear":
-        if scorer.bilinear_weight is None:
-            raise ConfigError("bilinear scorer has no weight matrix")
         return T.rowwise_dot(T.matmul(heads, scorer.bilinear_weight), tails)
-    if scorer.mlp_hidden is None or scorer.mlp_out is None:
-        raise ConfigError("mlp scorer is missing a layer")
     hidden = T.relu(T.matmul(T.concat_cols(heads, tails), scorer.mlp_hidden))
     return T.reshape(T.matmul(hidden, scorer.mlp_out), (src.shape[0],))
 
@@ -250,6 +248,8 @@ class PruneConfig:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -273,12 +273,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        if self.metric not in METRICS:
+            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.scorer_kind not in SCORER_KINDS:
+            raise ConfigError(f"scorer_kind must be one of {SCORER_KINDS}, got {self.scorer_kind!r}")
+        for name in ("k", "hidden", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not (1e-5 <= self.lr <= 5e-2):
+            raise ConfigError(f"lr must lie in [1e-5, 5e-2], got {self.lr}")
         if self.lam < 0:
             raise ConfigError("lambda must be non-negative")
+        if self.residual_weight < 0:
+            raise ConfigError("residual_weight must be non-negative")
 
 
 @dataclass

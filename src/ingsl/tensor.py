@@ -259,18 +259,6 @@ def log(x: Tensor) -> Tensor:
     return _out(np.log(d), (x,), lambda g: (g / d,), "log")
 
 
-_ELEMENTWISE = {"relu": relu, "sigmoid": sigmoid, "exp": exp, "log": log}
-
-
-def elementwise(op: str, x: Tensor) -> Tensor:
-    """Apply one of {relu, sigmoid, exp, log} element-wise."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise DomainError(f"unknown elementwise op {op!r}") from None
-    return fn(x)
-
-
 def pow_const(x: Tensor, p: float) -> Tensor:
     """x**p with constant exponent; non-integer p requires x > 0."""
     d = x.data
@@ -328,10 +316,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _out(
         np.asarray(x.data.sum()), (x,), lambda g: (np.full(shape, float(g)),), "sum_all"
     )
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return mul(sum_all(x), 1.0 / x.size)
 
 
 def row_sum(x: Tensor) -> Tensor:

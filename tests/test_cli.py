@@ -3,11 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ingsl import tensor as T
 from ingsl.cli import default_battery, main, parse_config, run_gradcheck_battery
 from ingsl.errors import ConfigError
-from ingsl.graph import Graph, load_bundle, save_bundle
+from ingsl.graph import Graph, generate_sbm, load_bundle, save_bundle
+from ingsl.gsl import METRICS
+from ingsl.pruning import MODES, SCORER_KINDS, PruneConfig, TrainConfig, train_ingsl
 
 
 def strip_wall_time(obj):
@@ -28,7 +32,7 @@ SBM_SPEC = {
 }
 
 
-def write_config(tmp_path, **overrides):
+def base_config(**overrides):
     cfg = {
         "dataset": {"sbm": SBM_SPEC},
         "k": 5,
@@ -41,9 +45,51 @@ def write_config(tmp_path, **overrides):
         "hidden": 8,
     }
     cfg.update(overrides)
+    if "mode" in overrides and "modes" not in overrides:
+        del cfg["modes"]
+    return cfg
+
+
+def write_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(base_config(**overrides)))
     return path
+
+
+# Config values that must be rejected as a config error before any dataset
+# is built: (override, text the one-line message must contain).
+MALFORMED = [
+    ({"k": "3"}, "k must be an integer"),
+    ({"k": True}, "k must be an integer"),
+    ({"epochs": "2"}, "epochs must be an integer"),
+    ({"lr": "0.01"}, "lr must be a finite number"),
+    ({"beta": None}, "beta must be a finite number"),
+    ({"lambda": False}, "lambda must be a finite number"),
+    ({"reduction_levels": "0.5"}, "reduction_levels must be a list"),
+    ({"seeds": 5}, "seeds must be a list"),
+    ({"seeds": [0.5]}, "seeds[0] must be an integer"),
+    ({"seeds": [-1]}, "seed must be >= 0"),
+    ({"mode": 3}, "modes must be a list"),
+    ({"mode": "ingsl", "modes": ["ingsl"]}, "either mode or modes"),
+    ({"noise": [1]}, "noise must be a JSON object"),
+    ({"noise": {"add_ratio": "x"}}, "noise.add_ratio must be a finite number"),
+    ({"dataset": {"sbm": [1]}}, "dataset.sbm must be a JSON object"),
+    ({"dataset": {"sbm": dict(SBM_SPEC, p_in="x")}}, "dataset.sbm.p_in must be a finite number"),
+    ({"dataset": {"sbm": {"seed": 1}}}, "dataset.sbm missing keys"),
+    ({"dataset": {"bundle": 3}}, "dataset.bundle must be a string"),
+    ({"hidden": 0}, "hidden must be >= 1"),
+    ({"patience": 0}, "patience must be >= 1"),
+    ({"residual_weight": -1}, "residual_weight must be non-negative"),
+    ({"metric": "euclid"}, "metric must be one of"),
+    ({"scorer_kind": "deep"}, "scorer_kind must be one of"),
+    ({"modes": []}, "modes must be non-empty"),
+]
+MALFORMED_IDS = [json.dumps(o)[:40] for o, _ in MALFORMED]
+
+
+def one_error_line(capsys, text):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and text in err[0], err
 
 
 class TestConfigParsing:
@@ -86,6 +132,80 @@ class TestConfigParsing:
     def test_empty_seeds(self):
         with pytest.raises(ConfigError):
             parse_config({"dataset": {"sbm": SBM_SPEC}, "seeds": []})
+
+    def test_train_config_carries_every_shared_field(self):
+        cfg = parse_config(
+            base_config(**{"lambda": 0.25, "residual_weight": 0.5, "batch_size": 7, "lr": 0.02})
+        )
+        tc = cfg.train_config("no_reduction", 0.25, 9)
+        assert (tc.mode, tc.prune.reduction, tc.prune.seed) == ("no_reduction", 0.25, 9)
+        assert (tc.lam, tc.residual_weight, tc.lr) == (0.25, 0.5, 0.02)
+        assert (tc.k, tc.hidden, tc.epochs, tc.patience) == (5, 8, 12, 6)
+        assert (tc.prune.beta, tc.prune.batch_size) == (0.5, 7)
+        assert (tc.scorer_kind, tc.metric) == ("bilinear", "inner")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+TOP_KEYS = [
+    "dataset", "k", "reduction_levels", "beta", "lambda", "scorer_kind", "lr", "epochs",
+    "patience", "seeds", "mode", "modes", "noise", "batch_size", "residual_weight", "hidden",
+    "metric",
+]
+NOISE = {"add_ratio": 0.1, "del_ratio": 0.1, "feature_mask_ratio": 0.1}
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(
+            [("top", k) for k in TOP_KEYS]
+            + [("sbm", k) for k in SBM_SPEC]
+            + [("noise", k) for k in NOISE]
+        ),
+        JSON_VALUES,
+    )
+    def test_any_json_value_parses_or_is_config_error(self, where, value):
+        obj = base_config(noise=dict(NOISE), dataset={"sbm": dict(SBM_SPEC)})
+        place, key = where
+        target = {"top": obj, "sbm": obj["dataset"]["sbm"], "noise": obj["noise"]}[place]
+        target[key] = value
+        if key == "mode":
+            del obj["modes"]
+        try:
+            parse_config(obj)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "k": st.integers(1, 10**6),
+                "reduction_levels": st.lists(st.floats(0.0, 0.999), min_size=1, max_size=3),
+                "beta": st.floats(0.0, 1.0),
+                "lambda": st.floats(0.0, 1e3),
+                "scorer_kind": st.sampled_from(SCORER_KINDS),
+                "lr": st.floats(1e-5, 5e-2),
+                "epochs": st.integers(1, 10**4),
+                "patience": st.integers(1, 10**4),
+                "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
+                "modes": st.lists(st.sampled_from(MODES), min_size=1, max_size=4),
+                "noise": st.none() | st.just(NOISE),
+                "batch_size": st.none() | st.integers(1, 512),
+                "residual_weight": st.floats(0.0, 10.0),
+                "hidden": st.integers(1, 512),
+                "metric": st.sampled_from(METRICS),
+            }
+        ),
+        st.sampled_from([{"sbm": SBM_SPEC}, {"bundle": "some/dir"}]),
+    )
+    def test_to_dict_round_trips(self, fields, dataset):
+        cfg = parse_config({"dataset": dataset, **fields})
+        assert parse_config(cfg.to_dict()) == cfg
 
 
 class TestTrainCommand:
@@ -172,6 +292,12 @@ class TestExitCodes:
     def test_usage_error_is_config_error(self):
         assert main(["train"]) == 1
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+        one_error_line(capsys, "seed must be >= 0")
+
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, bogus=1)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -195,6 +321,37 @@ class TestExitCodes:
     def test_sweep_single_level_rejected(self, tmp_path):
         cfg = write_config(tmp_path, reduction_levels=[0.5])
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("override,text", MALFORMED, ids=MALFORMED_IDS)
+    def test_train_malformed_exit_one(self, tmp_path, capsys, override, text):
+        cfg = write_config(tmp_path, **override)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, text)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "obj,text",
+        [
+            pytest.param({"sbm": {"seed": 1}}, "dataset.sbm missing keys", id="sbm-missing-keys"),
+            pytest.param([1], "dataset must be", id="list"),
+            pytest.param({"dataset": 3}, "dataset must be", id="dataset-int"),
+            pytest.param({"sbm": [1]}, "dataset.sbm must be a JSON object", id="sbm-list"),
+            pytest.param(
+                {"sbm": dict(SBM_SPEC, p_in="x")}, "dataset.sbm.p_in must be", id="sbm-p_in-str"
+            ),
+            pytest.param({"bundle": "x"}, "needs an sbm spec", id="bundle"),
+        ]
+        + [
+            pytest.param(base_config(**override), text, id=f"config-{i}")
+            for i, (override, text) in zip(MALFORMED_IDS, MALFORMED)
+        ],
+    )
+    def test_gen_sbm_malformed_exit_one(self, tmp_path, capsys, obj, text):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(obj))
+        assert main(["gen-sbm", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+        one_error_line(capsys, text)
+        assert not (tmp_path / "b").exists()
 
 
 class TestSweep:
@@ -280,6 +437,33 @@ class TestGradcheck:
         assert not ok
         failed = [r for r in rows if not r["pass"]]
         assert [r["op"] for r in failed] == ["broken_square"]
+
+
+class TestGradcheckCoverage:
+    def test_battery_runs_every_op_training_records(self, monkeypatch):
+        recorded = T.record_op
+        seen: set[str] = set()
+
+        def spy(output, inputs, backward_fn, name="custom"):
+            seen.add(name)
+            return recorded(output, inputs, backward_fn, name)
+
+        monkeypatch.setattr(T, "record_op", spy)
+        g = generate_sbm([8, 8], 0.5, 0.05, 3, 0.5, 1)
+        for mode in MODES:
+            for metric in METRICS:
+                for scorer_kind in SCORER_KINDS:
+                    tc = TrainConfig(
+                        prune=PruneConfig(reduction=0.5, seed=0),
+                        mode=mode, k=3, hidden=4, epochs=2, lam=0.1,
+                        metric=metric, scorer_kind=scorer_kind,
+                    )
+                    train_ingsl(g, tc)
+        trained = set(seen)
+        seen.clear()
+        for _, check in default_battery(0):
+            check()
+        assert trained <= seen, sorted(trained - seen)
 
 
 class TestDiagnoseRedundancy:

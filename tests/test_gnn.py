@@ -205,8 +205,8 @@ class TestFlops:
         dims = [8, 4]
         full = flops_estimate(200, dims, 20)
         half = flops_estimate(100, dims, 20)
-        # hand: 2*m*4 + 2*20*8*4 -> (1600 + 1280) vs (800 + 1280)
-        assert full == 2880 and half == 2080
+        # hand: 2*m*8 + 2*20*8*4 -> (3200 + 1280) vs (1600 + 1280)
+        assert full == 4480 and half == 2880
 
     def test_linear_in_m(self):
         dims = [6, 6, 2]

@@ -65,13 +65,6 @@ class TestElementwise:
             T.backward(loss, tape)
         assert np.allclose(x.grad, 0.25, atol=1e-15)
 
-    def test_dispatcher(self):
-        x = T.constant([1.0, 2.0])
-        assert np.array_equal(T.elementwise("exp", x).data, np.exp([1.0, 2.0]))
-        assert np.array_equal(T.elementwise("log", x).data, np.log([1.0, 2.0]))
-        with pytest.raises(DomainError):
-            T.elementwise("tanh", x)
-
     def test_log_domain_error_reports_index(self):
         with pytest.raises(DomainError, match="index 2"):
             T.log(T.constant([1.0, 2.0, -1.0]))
