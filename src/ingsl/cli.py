@@ -31,7 +31,9 @@ from .errors import ConfigError, NumericError
 from .gnn import flops_estimate, gcn_forward, make_gcn_params, task_loss
 from .graph import (
     Graph,
+    NOISE_UPPER,
     SparseAdjacency,
+    check_noise_ratios,
     generate_sbm,
     inject_structural_noise,
     load_bundle,
@@ -59,7 +61,7 @@ _SBM_SPEC = {
     "feature_noise": float,
     "seed": int,
 }
-_NOISE_SPEC = {"add_ratio": float, "del_ratio": float, "feature_mask_ratio": float}
+_NOISE_SPEC = dict.fromkeys(NOISE_UPPER, float)
 
 
 @dataclass
@@ -172,6 +174,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         _check_type(dataset["bundle"], str, "dataset.bundle")
     if obj.get("noise") is not None:
         _check_object(obj["noise"], _NOISE_SPEC, "noise")
+        check_noise_ratios(**obj["noise"])
     return ExperimentConfig(**{_FIELDS[key].name: value for key, value in obj.items()})
 
 
@@ -368,6 +371,7 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
             [(8,)],
             "positive",
         ),
+        ("sddmm", lambda u, v: T.sddmm(nsrc, ndst[::-1], u, v), [(4, 3), (4, 3)], "any"),
     ]
 
     def weighted(op, leaves):
@@ -681,7 +685,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

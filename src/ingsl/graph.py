@@ -191,9 +191,7 @@ def normalize_entries(
     u_dst = (uniq % n).astype(np.int64)
 
     values = T.mul(T.mul(T.take(inv_sqrt, u_src), T.take(inv_sqrt, u_dst)), coalesced)
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_offsets, u_src + 1, 1)
-    row_offsets = np.cumsum(row_offsets)
+    row_offsets = np.concatenate([[0], np.cumsum(np.bincount(u_src, minlength=n))])
     return SparseAdjacency(row_offsets, u_dst, values, n)
 
 
@@ -274,9 +272,11 @@ def load_bundle(path) -> Graph:
         meta = json.loads("\n".join(meta_lines))
     except json.JSONDecodeError as exc:
         raise ParseError(f"meta.json: invalid JSON ({exc})") from None
-    if set(meta) != {"n", "d", "classes"}:
-        raise ParseError("meta.json: expected exactly the keys n, d, classes")
-    n, d, classes = int(meta["n"]), int(meta["d"]), int(meta["classes"])
+    if not isinstance(meta, dict) or set(meta) != {"n", "d", "classes"}:
+        raise ParseError("meta.json: expected an object with exactly the keys n, d, classes")
+    if any(type(v) is not int or v < 0 for v in meta.values()):
+        raise ParseError("meta.json: n, d and classes must be non-negative integers")
+    n, d, classes = meta["n"], meta["d"], meta["classes"]
 
     pairs = []
     for ln, line in enumerate(_bundle_lines(root, "edges.tsv"), start=1):
@@ -412,14 +412,23 @@ def generate_sbm(
     )
 
 
+# Upper bound of each noise ratio, by config key; every ratio is >= 0.
+NOISE_UPPER = {"add_ratio": math.inf, "del_ratio": 1.0, "feature_mask_ratio": 1.0}
+
+
+def check_noise_ratios(**ratios: float) -> None:
+    for name, value in ratios.items():
+        if not (0.0 <= value <= NOISE_UPPER[name]):
+            raise ConfigError(f"{name} must lie in [0, {NOISE_UPPER[name]:g}], got {value}")
+
+
 def inject_structural_noise(
     g: Graph, add_ratio: float, del_ratio: float, seed: int
 ) -> Graph:
     """Remove floor(del_ratio*m) random edges, then add floor(add_ratio*m)
     random pairs absent from the original edge set. Deterministic under seed.
     """
-    if add_ratio < 0 or del_ratio < 0 or del_ratio > 1:
-        raise ConfigError("require add_ratio >= 0 and del_ratio in [0, 1]")
+    check_noise_ratios(add_ratio=add_ratio, del_ratio=del_ratio)
     rng = np.random.default_rng(seed)
     m = g.num_edges
     n_del = int(del_ratio * m)
@@ -476,8 +485,7 @@ def inject_structural_noise(
 
 def mask_features(g: Graph, mask_ratio: float, seed: int) -> Graph:
     """Zero floor(mask_ratio*n*d) uniformly chosen feature entries."""
-    if not (0.0 <= mask_ratio <= 1.0):
-        raise ConfigError("mask_ratio must lie in [0, 1]")
+    check_noise_ratios(feature_mask_ratio=mask_ratio)
     rng = np.random.default_rng(seed)
     total = g.n * g.d
     n_mask = int(mask_ratio * total)

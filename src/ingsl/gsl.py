@@ -67,7 +67,7 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
 
     src = np.repeat(np.arange(n), k)
     dst = cols.reshape(-1)
-    values = T.rowwise_dot(T.gather_rows(base, src), T.gather_rows(base, dst))
+    values = T.sddmm(src, dst, base, base)
     row_offsets = np.arange(n + 1, dtype=np.int64) * k
     sparse = SparseAdjacency(row_offsets, dst, values, n)
     return CandidateGraph(sparse=sparse, k=k, source_embeddings=e)

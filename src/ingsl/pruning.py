@@ -107,10 +107,11 @@ def diversity_scores(
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
         raise ShapeError("src and dst index lengths differ")
+    if scorer.kind == "bilinear":
+        # (E W)[i] . E[j]: transform the n embeddings once, then score edges.
+        return T.sddmm(src, dst, T.matmul(e, scorer.bilinear_weight), e)
     heads = T.gather_rows(e, src)
     tails = T.gather_rows(e, dst)
-    if scorer.kind == "bilinear":
-        return T.rowwise_dot(T.matmul(heads, scorer.bilinear_weight), tails)
     hidden = T.relu(T.matmul(T.concat_cols(heads, tails), scorer.mlp_hidden))
     return T.reshape(T.matmul(hidden, scorer.mlp_out), (src.shape[0],))
 
@@ -146,12 +147,9 @@ def select_threshold(x_values, r: float) -> float:
 
 
 def _subset_csr(sparse: SparseAdjacency, kept: np.ndarray, values: T.Tensor) -> SparseAdjacency:
-    rows = sparse.edge_rows()[kept]
-    offsets = np.zeros(sparse.n_rows + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    return SparseAdjacency(
-        np.cumsum(offsets), sparse.col_indices[kept], values, sparse.n_cols
-    )
+    counts = np.bincount(sparse.edge_rows()[kept], minlength=sparse.n_rows)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return SparseAdjacency(offsets, sparse.col_indices[kept], values, sparse.n_cols)
 
 
 def prune(s: CandidateGraph, w: T.Tensor, eps_thr: float) -> SparseAdjacency:

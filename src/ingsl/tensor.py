@@ -348,6 +348,53 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# Row width from which the prefix loop in _scatter_add beats one bincount
+# over (row, column) cells: the loop's cost is per step, the bincount's per
+# cell. Measured on 7000 and 30000 entries, the two tie at width 64.
+_WIDE = 64
+
+
+def _scatter_add(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Sum ``vals[e]`` into row ``idx[e]`` of an n-row zero array, adding in
+    ascending e, so the result equals the unbuffered ``add.at`` ufunc bit for
+    bit.
+
+    Narrow values go through one ``np.bincount`` over (row, column) cells,
+    which adds each cell's entries in e order. For wide 2-D values, entries
+    are grouped by target (stable, so e order holds within a target) and the
+    targets ordered by descending entry count; step p then adds the p-th
+    entry of every target with more than p entries, and those targets form
+    a prefix of the order, so each step is one vectorized row add.
+    """
+    if idx.size == 0:
+        return np.zeros((n,) + vals.shape[1:])
+    if vals.ndim == 1:
+        return np.bincount(idx, weights=vals, minlength=n)
+    h = vals.shape[1]
+    if h < _WIDE:
+        cells = (idx[:, None] * h + np.arange(h)).reshape(-1)
+        return np.bincount(cells, weights=vals.reshape(-1), minlength=n * h).reshape(n, h)
+    out = np.zeros((n, h))
+    counts = np.bincount(idx, minlength=n)
+    if counts.max() == 1:
+        out[idx] += vals  # adding onto 0.0 keeps add.at's sign of zero
+        return out
+    order = np.argsort(idx, kind="stable")
+    targets = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    starts = (np.cumsum(counts) - counts)[targets]
+    active = targets.size - np.cumsum(np.bincount(counts[targets]))
+    acc = np.zeros((targets.size, h))
+    for p, c in enumerate(active[:-1]):
+        acc[:c] += vals[order[starts[:c] + p]]
+    out[targets] = acc
+    return out
+
+
+def _edge_dot(a: np.ndarray, b: np.ndarray, ra: np.ndarray, ca: np.ndarray) -> np.ndarray:
+    """Per-edge inner products <a[ra[e]], b[ca[e]]>."""
+    return (a[ra] * b[ca]).sum(axis=1)
+
+
 def _index_array(idx, bound: int, op: str) -> np.ndarray:
     arr = np.asarray(idx, dtype=np.int64)
     if arr.ndim != 1:
@@ -361,14 +408,10 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows requires a 2-D operand, got {x.shape}")
     ia = _index_array(idx, x.shape[0], "gather_rows")
-    shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, ia, g)
-        return (gx,)
-
-    return _out(x.data[ia].copy(), (x,), bwd, "gather_rows")
+    n = x.shape[0]
+    return _out(
+        x.data[ia], (x,), lambda g: (_scatter_add(ia, g, n),), "gather_rows"
+    )
 
 
 def take(x: Tensor, idx) -> Tensor:
@@ -377,13 +420,7 @@ def take(x: Tensor, idx) -> Tensor:
         raise ShapeError(f"take requires a 1-D operand, got {x.shape}")
     ia = _index_array(idx, x.shape[0], "take")
     n = x.shape[0]
-
-    def bwd(g):
-        gx = np.zeros(n)
-        np.add.at(gx, ia, g)
-        return (gx,)
-
-    return _out(x.data[ia].copy(), (x,), bwd, "take")
+    return _out(x.data[ia], (x,), lambda g: (_scatter_add(ia, g, n),), "take")
 
 
 def gather_pairs(x: Tensor, rows, cols) -> Tensor:
@@ -395,13 +432,13 @@ def gather_pairs(x: Tensor, rows, cols) -> Tensor:
     if ra.shape != ca.shape:
         raise ShapeError("gather_pairs: row and column index lengths differ")
     shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(shape)
-        np.add.at(gx, (ra, ca), g)
-        return (gx,)
-
-    return _out(x.data[ra, ca].copy(), (x,), bwd, "gather_pairs")
+    flat = ra * shape[1] + ca
+    return _out(
+        x.data[ra, ca],
+        (x,),
+        lambda g: (_scatter_add(flat, g, x.size).reshape(shape),),
+        "gather_pairs",
+    )
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -432,8 +469,7 @@ def segment_sum(x: Tensor, seg_ids, num_segments: int) -> Tensor:
     sa = _index_array(seg_ids, num_segments, "segment_sum")
     if sa.shape[0] != x.shape[0]:
         raise ShapeError("segment_sum: segment ids must align with values")
-    out = np.zeros(num_segments)
-    np.add.at(out, sa, x.data)
+    out = _scatter_add(sa, x.data, num_segments)
     return _out(out, (x,), lambda g: (g[sa],), "segment_sum")
 
 
@@ -456,16 +492,35 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
         raise DomainError("spmm: column index out of range")
     rows = np.repeat(np.arange(n_rows), np.diff(offs))
     vd, dd = values.data, dense.data
-    out = np.zeros((n_rows, dense.shape[1]))
-    np.add.at(out, rows, vd[:, None] * dd[cols])
+    out = _scatter_add(rows, vd[:, None] * dd[cols], n_rows)
 
     def bwd(g):
-        gv = (g[rows] * dd[cols]).sum(axis=1)
-        gd = np.zeros(dd.shape)
-        np.add.at(gd, cols, vd[:, None] * g[rows])
-        return (gv, gd)
+        gd = _scatter_add(cols, vd[:, None] * g[rows], dd.shape[0])
+        return (_edge_dot(g, dd, rows, cols), gd)
 
     return _out(out, (values, dense), bwd, "spmm")
+
+
+def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
+    """Sampled dense-dense product: out[e] = <u[rows[e]], v[cols[e]]>.
+
+    Scores the given edges without forming u v^T or copying endpoint rows
+    onto the tape. Gradient flows to both operands.
+    """
+    if u.data.ndim != 2 or v.data.ndim != 2 or u.shape[1] != v.shape[1]:
+        raise ShapeError(f"sddmm: incompatible operands {u.shape} and {v.shape}")
+    ra = _index_array(rows, u.shape[0], "sddmm")
+    ca = _index_array(cols, v.shape[0], "sddmm")
+    if ra.shape != ca.shape:
+        raise ShapeError("sddmm: row and column index lengths differ")
+    ud, vd = u.data, v.data
+
+    def bwd(g):
+        gu = _scatter_add(ra, g[:, None] * vd[ca], ud.shape[0])
+        gv = _scatter_add(ca, g[:, None] * ud[ra], vd.shape[0])
+        return (gu, gv)
+
+    return _out(_edge_dot(ud, vd, ra, ca), (u, v), bwd, "sddmm")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,19 @@ def matmul_triple_loop(a, b):
     return out
 
 
+def sddmm_loop(rows, cols, u, v):
+    """out[e] = sum_t u[rows[e], t] * v[cols[e], t], one edge at a time."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros(len(rows))
+    for e, (i, j) in enumerate(zip(rows, cols)):
+        acc = 0.0
+        for t in range(u.shape[1]):
+            acc += u[i, t] * v[j, t]
+        out[e] = acc
+    return out
+
+
 def dense_normalize(adj_dense):
     """D^(-1/2) (A + I) D^(-1/2) with D_ii = 1 + sum_j A_ij."""
     adj_dense = np.asarray(adj_dense, dtype=np.float64)

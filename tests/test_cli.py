@@ -73,6 +73,7 @@ MALFORMED = [
     ({"mode": "ingsl", "modes": ["ingsl"]}, "either mode or modes"),
     ({"noise": [1]}, "noise must be a JSON object"),
     ({"noise": {"add_ratio": "x"}}, "noise.add_ratio must be a finite number"),
+    ({"noise": {"del_ratio": 2}}, "del_ratio must lie in [0, 1]"),
     ({"dataset": {"sbm": [1]}}, "dataset.sbm must be a JSON object"),
     ({"dataset": {"sbm": dict(SBM_SPEC, p_in="x")}}, "dataset.sbm.p_in must be a finite number"),
     ({"dataset": {"sbm": {"seed": 1}}}, "dataset.sbm missing keys"),
@@ -321,6 +322,33 @@ class TestExitCodes:
     def test_sweep_single_level_rejected(self, tmp_path):
         cfg = write_config(tmp_path, reduction_levels=[0.5])
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "meta",
+        ['{"n": null, "d": 3, "classes": 2}', "7", '{"n": 24, "d": 4.5, "classes": 2}'],
+        ids=["null-n", "bare-number", "float-d"],
+    )
+    def test_malformed_bundle_meta_exit_one(self, tmp_path, capsys, meta):
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(**SBM_SPEC), bundle)
+        (bundle / "meta.json").write_text(meta)
+        cfg = write_config(tmp_path, dataset={"bundle": str(bundle)})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, "meta.json")
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [("train", []), ("gen-sbm", []), ("diagnose-redundancy", ["--k-values", "2"])],
+    )
+    def test_unwritable_output_exit_one(self, tmp_path, capsys, command, extra):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        cfg = write_config(tmp_path, seeds=[0], modes=["ingsl"], epochs=2)
+        if command == "gen-sbm":
+            cfg.write_text(json.dumps({"sbm": SBM_SPEC}))
+        argv = [command, "--config", str(cfg), "--out", str(afile / "o"), *extra]
+        assert main(argv) == 1
+        one_error_line(capsys, "Not a directory")
 
     @pytest.mark.parametrize("override,text", MALFORMED, ids=MALFORMED_IDS)
     def test_train_malformed_exit_one(self, tmp_path, capsys, override, text):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ingsl import tensor as T
 from ingsl.errors import (
@@ -13,7 +14,7 @@ from ingsl.errors import (
     StateError,
 )
 
-from oracles import matmul_triple_loop
+from oracles import matmul_triple_loop, sddmm_loop
 
 
 class TestMatmul:
@@ -304,6 +305,131 @@ class TestStructureOps:
     def test_binary_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(T.constant([1.0]), T.constant([1.0, 2.0]))
+
+
+@st.composite
+def scatter_cases(draw):
+    """(idx, vals, n): repeated or all-unique targets in any order, possibly
+    none, with 1-D or 2-D values."""
+    n = draw(st.integers(0, 8))
+    if n and draw(st.booleans()):
+        idx = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    else:
+        idx = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=200 if n else 0))
+    width = draw(st.sampled_from([None, 1, 3, T._WIDE]))
+    shape = (len(idx),) if width is None else (len(idx), min(width, 3))
+    vals = draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    if width == T._WIDE:  # the prefix-loop kernel; columns repeat
+        vals = np.tile(vals, (1, T._WIDE // 3 + 1))
+    return np.array(idx, dtype=np.int64), vals, n
+
+
+def add_at(idx, vals, n):
+    out = np.zeros((n,) + vals.shape[1:])
+    np.add.at(out, idx, vals)
+    return out
+
+
+class TestScatterAdd:
+    @settings(max_examples=300, deadline=None)
+    @given(scatter_cases())
+    def test_equals_add_at_bit_for_bit(self, case):
+        idx, vals, n = case
+        got = T._scatter_add(idx, vals, n)
+        want = add_at(idx, vals, n)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("width", [None, 2, T._WIDE])
+    def test_adds_in_entry_order(self, width):
+        # 1e16 + 1 rounds to 1e16, so entry order sums target 2 to 0; adding
+        # the two large entries first would give 1.
+        idx = np.array([2, 0, 2, 2])
+        vals = np.array([1e16, 5.0, 1.0, -1e16])
+        if width:
+            vals = np.repeat(vals[:, None], width, axis=1)
+        got = T._scatter_add(idx, vals, 4)
+        assert np.array_equal(got, add_at(idx, vals, 4))
+        assert np.all(got[2] == 0.0) and np.all(got[0] == 5.0)
+
+    @pytest.mark.parametrize("width", [None, 4, T._WIDE])
+    def test_many_repeats_equal_add_at(self, width):
+        # Long runs per target, so an unstable grouping would reorder sums.
+        rng = np.random.default_rng(8)
+        idx = rng.integers(3, size=2000)
+        vals = rng.normal(size=2000 if width is None else (2000, width))
+        vals *= 10.0 ** rng.integers(-8, 8, vals.shape)
+        assert np.array_equal(T._scatter_add(idx, vals, 5), add_at(idx, vals, 5))
+
+    @pytest.mark.parametrize("width", [None, 3, T._WIDE])
+    def test_unique_targets_sum_onto_positive_zero(self, width):
+        # add.at computes 0.0 + (-0.0) = +0.0; a plain copy would keep -0.0.
+        idx = np.array([3, 0, 2])
+        vals = np.array([-0.0, 1.5, -0.0])
+        if width:
+            vals = np.repeat(vals[:, None], width, axis=1)
+        got = T._scatter_add(idx, vals, 4)
+        assert np.array_equal(got, add_at(idx, vals, 4)) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("width", [None, 3, T._WIDE])
+    def test_empty_index_gives_zeros(self, width):
+        vals = np.zeros((0,) if width is None else (0, width))
+        got = T._scatter_add(np.zeros(0, dtype=np.int64), vals, 5)
+        assert got.dtype == np.float64 and not got.any()
+        assert got.shape == (5,) + vals.shape[1:]
+
+
+class TestSddmm:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(0, 20))
+    def test_matches_loop_oracle(self, seed, n_u, n_v, m):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-10, 10, (n_u, 4))
+        v = rng.uniform(-10, 10, (n_v, 4))
+        rows, cols = rng.integers(n_u, size=m), rng.integers(n_v, size=m)
+        got = T.sddmm(rows, cols, T.constant(u), T.constant(v)).data
+        assert got.shape == (m,)
+        if m:
+            assert np.abs(got - sddmm_loop(rows, cols, u, v)).max() < 1e-12
+
+    def test_equals_gather_chain_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        rows, cols = rng.integers(5, size=40), rng.integers(7, size=40)
+        u0, v0, g = rng.normal(size=(5, 6)), rng.normal(size=(7, 6)), rng.normal(size=40)
+
+        def run(op):
+            u, v = T.parameter(u0), T.parameter(v0)
+            with T.Tape() as tape:
+                out = op(u, v)
+                T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+            return out.data, u.grad, v.grad
+
+        fused = run(lambda u, v: T.sddmm(rows, cols, u, v))
+        chain = run(lambda u, v: T.rowwise_dot(T.gather_rows(u, rows), T.gather_rows(v, cols)))
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+
+    def test_gradients_with_shared_operand(self):
+        rng = np.random.default_rng(4)
+        rows = np.array([0, 1, 1, 3, 2, 0])
+        cols = np.array([1, 0, 2, 3, 3, 0])
+        u = T.parameter(rng.uniform(-1, 1, (4, 3)))
+        w = T.constant(np.arange(1.0, 7.0))
+        assert T.gradient_check(lambda p: T.sum_all(T.mul(T.sddmm(rows, cols, p, p), w)), [u]) < 1e-8
+
+    def test_out_of_range_index_domain_error(self):
+        u = T.constant(np.ones((3, 2)))
+        with pytest.raises(DomainError):
+            T.sddmm([0, 3], [0, 1], u, u)
+        with pytest.raises(DomainError):
+            T.sddmm([0, 1], [-1, 1], u, u)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match=r"\(3, 2\).*\(3, 4\)"):
+            T.sddmm([0], [0], T.constant(np.ones((3, 2))), T.constant(np.ones((3, 4))))
+        with pytest.raises(ShapeError):
+            T.sddmm([0, 1], [0], T.constant(np.ones((3, 2))), T.constant(np.ones((3, 2))))
 
 
 class TestFiniteOutputs:
