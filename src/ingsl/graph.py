@@ -261,7 +261,10 @@ def _bundle_lines(root: Path, name: str) -> list[str]:
     p = root / name
     if not p.exists():
         raise ParseError(f"{name}: file missing from bundle {root}")
-    return p.read_text().splitlines()
+    try:
+        return p.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
 
 
 def load_bundle(path) -> Graph:

@@ -42,6 +42,23 @@ def encode_structure(
 METRICS = ("inner", "cosine")
 
 
+def _first_k(neg: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the columns of the first k entries of a stable ascending
+    sort: the k smallest, ties toward the smaller column, NaN last.
+
+    A partition finds k smallest entries per row. A row whose k-th smallest
+    value v has exactly k entries ``<= v`` has one such set, so the
+    partition's columns are the sort's. Any other row has ties straddling
+    the boundary, or a NaN, and only those rows are stably sorted.
+    """
+    part = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    kth = neg[np.arange(neg.shape[0]), part[:, k - 1]]
+    tied = np.flatnonzero(np.count_nonzero(neg <= kth[:, None], axis=1) != k)
+    if tied.size:
+        part[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return part
+
+
 def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGraph:
     """Keep the k most similar other nodes per row of the embedding matrix.
 
@@ -59,11 +76,10 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
         raise ConfigError(f"unknown similarity metric {metric!r}")
 
     base = T.row_l2_normalize_or_zero(e) if metric == "cosine" else e
-    sim = base.data @ base.data.T
-    np.fill_diagonal(sim, -np.inf)
-    # Stable sort on negated values keeps ascending column order among ties.
-    order = np.argsort(-sim, axis=1, kind="stable")[:, :k]
-    cols = np.sort(order, axis=1)
+    neg = base.data @ base.data.T
+    np.negative(neg, out=neg)
+    np.fill_diagonal(neg, np.inf)
+    cols = np.sort(_first_k(neg, k), axis=1)
 
     src = np.repeat(np.arange(n), k)
     dst = cols.reshape(-1)

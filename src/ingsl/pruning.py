@@ -136,14 +136,15 @@ def select_threshold(x_values, r: float) -> float:
     at it keeps exactly that many entries when no others tie with the
     boundary.
 
-    Ordering is deterministic: by value descending, then by index ascending.
+    NaN ranks below every number. The value does not depend on how ties are
+    ordered, so a partition finds it; among tied zeros, which sign comes
+    back is unspecified, and no ``>=`` tells them apart.
     """
     x = x_values.data if isinstance(x_values, T.Tensor) else np.asarray(x_values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ConfigError("threshold selection needs a non-empty 1-D score vector")
     keep = keep_count(x.size, r)
-    order = np.lexsort((np.arange(x.size), -x))
-    return float(x[order[keep - 1]])
+    return float(-np.partition(-x, keep - 1)[keep - 1])
 
 
 def _subset_csr(sparse: SparseAdjacency, kept: np.ndarray, values: T.Tensor) -> SparseAdjacency:

@@ -66,6 +66,26 @@ def topk_brute(sim_row, k, self_idx):
     return sorted(j for _, j in pairs[:k])
 
 
+def topk_candidates_argsort(base, k):
+    """Candidate selection by a full stable argsort of every negated
+    similarity row (diagonal excluded, ties to the smaller column, NaN last),
+    scored by the unblocked gather-multiply-sum. Returns the (n, k) sorted
+    columns and the n*k edge values."""
+    base = np.asarray(base, dtype=np.float64)
+    n = base.shape[0]
+    sim = base @ base.T
+    np.fill_diagonal(sim, -np.inf)
+    cols = np.sort(np.argsort(-sim, axis=1, kind="stable")[:, :k], axis=1)
+    rows = np.repeat(np.arange(n), k)
+    return cols, (base[rows] * base[cols.reshape(-1)]).sum(axis=1)
+
+
+def kth_largest_lexsort(x, keep):
+    """The keep-th entry of x ordered by value descending, then index."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(x[np.lexsort((np.arange(x.size), -x))[keep - 1]])
+
+
 def mi_naive(z_tilde, z, batch_ids):
     """Per-anchor loop over exp(cosine) ratios; positive always included."""
     z_tilde = np.asarray(z_tilde, dtype=np.float64)

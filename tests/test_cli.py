@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,6 +527,74 @@ class TestDiagnoseRedundancy:
         assert len(lines) == 3
         for line in lines[1:]:
             assert abs(float(line.split(",")[1]) - 1.0) < 1e-9
+
+
+BUNDLE_FILES = ["edges.tsv", "features.csv", "labels.csv", "masks.csv"]
+JUNK = st.sampled_from(
+    [b"", b"nan", b"inf", b"-inf", b"1e999", b"-1", b"99", b"0 0", b"1\t2\t3", b"1,2",
+     b"train", b"val ", b"\xff\xfe", b"\xc3", b"\x00", b"\r"]
+) | st.binary(max_size=8) | st.text(max_size=8).map(str.encode)
+# (file, edit, position taken modulo the file's bytes or lines, junk bytes)
+CORRUPTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(BUNDLE_FILES),
+        st.sampled_from(["truncate", "garble", "insert", "drop", "duplicate"]),
+        st.integers(0, 10**6),
+        JUNK,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def corrupt(data: bytes, edit: str, pos: int, junk: bytes) -> bytes:
+    if edit == "truncate":
+        return data[: pos % (len(data) + 1)]
+    if edit == "insert":
+        at = pos % (len(data) + 1)
+        return data[:at] + junk + data[at:]
+    lines = data.split(b"\n")
+    i = pos % len(lines)
+    if edit == "garble":
+        lines[i] = junk
+    elif edit == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return b"\n".join(lines)
+
+
+class TestCorruptedBundles:
+    @settings(max_examples=150, deadline=None)
+    @given(CORRUPTIONS)
+    def test_train_exits_with_a_code_and_one_line(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = Path(tmp) / "bundle"
+            save_bundle(generate_sbm(**SBM_SPEC), bundle)
+            for name, edit, pos, junk in edits:
+                path = bundle / name
+                path.write_bytes(corrupt(path.read_bytes(), edit, pos, junk))
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(base_config(
+                dataset={"bundle": str(bundle)}, seeds=[0], modes=["ingsl"], k=3,
+                epochs=2, patience=2, hidden=4,
+            )))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["train", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) == (0 if code == 0 else 1), err.getvalue()
+
+
+    @pytest.mark.parametrize("name", BUNDLE_FILES)
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys, name):
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(**SBM_SPEC), bundle)
+        path = bundle / name
+        path.write_bytes(b"\xff" + path.read_bytes())
+        cfg = write_config(tmp_path, dataset={"bundle": str(bundle)})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, f"{name}: not UTF-8 text (byte 0)")
 
 
 class TestGenSbm:

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingsl import tensor as T
-from ingsl.errors import ConfigError, DomainError
+from ingsl.errors import ConfigError, DomainError, NumericError
 from ingsl.gnn import GcnParams, make_gcn_params
 from ingsl.gsl import (
+    METRICS,
+    _first_k,
     build_candidates,
     encode_structure,
     feature_smoothness,
@@ -17,7 +19,25 @@ from ingsl.graph import normalize_adjacency
 from test_gnn import identity_adjacency
 from test_graph import random_graph, tiny_graph
 
-from oracles import dense_normalize, topk_brute
+from oracles import dense_normalize, topk_brute, topk_candidates_argsort
+
+
+@st.composite
+def tie_heavy_embeddings(draw):
+    """Low-resolution integer embeddings drawn from a small pool of rows, so
+    similarity rows tie often; some rows are zeroed and one may hold a NaN."""
+    n = draw(st.integers(2, 14))
+    d = draw(st.integers(1, 4))
+    res = draw(st.sampled_from([1, 2, 50]))
+    pool = draw(st.lists(
+        st.lists(st.integers(-res, res), min_size=d, max_size=d), min_size=1, max_size=n
+    ))
+    pick = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    e = np.array([pool[i] for i in pick], dtype=np.float64)
+    e[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    if draw(st.booleans()):
+        e[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))] = np.nan
+    return e, draw(st.integers(1, n - 1)), draw(st.sampled_from(METRICS))
 
 
 class TestEncode:
@@ -103,6 +123,24 @@ class TestBuildCandidates:
             rows, cols = cand.pairs()
             for i in range(n):
                 assert sorted(cols[rows == i].tolist()) == topk_brute(sim[i], k, i)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_embeddings())
+    def test_matches_stable_argsort_oracle_under_ties(self, case):
+        e, k, metric = case
+        base = T.row_l2_normalize_or_zero(T.constant(e)).data if metric == "cosine" else e
+        cols, values = topk_candidates_argsort(base, k)
+        try:
+            cand = build_candidates(T.constant(e), k, metric)
+        except NumericError:  # a NaN row under "inner" scores NaN edges
+            assert not np.isfinite(values).all()
+        else:
+            assert np.array_equal(cand.sparse.col_indices, cols.reshape(-1))
+            assert np.array_equal(cand.sparse.values.data.view(np.int64), values.view(np.int64))
+        # The selection alone, NaN similarities included.
+        neg = -(base @ base.T)
+        np.fill_diagonal(neg, np.inf)
+        assert np.array_equal(np.sort(_first_k(neg, k), axis=1), cols)
 
     def test_gradient_flows_into_kept_entries(self):
         rng = np.random.default_rng(4)

@@ -26,7 +26,7 @@ from ingsl.pruning import (
     train_ingsl,
 )
 
-from oracles import mi_naive
+from oracles import kth_largest_lexsort, mi_naive
 
 
 def candidate_fixture(rng, n=10, k=3, h=4):
@@ -190,6 +190,18 @@ class TestSelectThreshold:
         x = np.random.default_rng(seed).normal(size=m)
         eps = select_threshold(x, r)
         assert (x >= eps).sum() == keep_count(m, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan]), min_size=1, max_size=40),
+        st.floats(0.0, 0.99),
+    )
+    def test_equals_full_sort_under_ties(self, x, r):
+        x = np.array(x)
+        got = select_threshold(x, r)
+        want = kth_largest_lexsort(x, keep_count(x.size, r))
+        assert got == want or (np.isnan(got) and np.isnan(want))
+        assert np.array_equal(x >= got, x >= want)
 
     def test_keep_count_boundaries(self):
         assert keep_count(60, 1 - 1 / 60) == 1  # float overshoot guarded

@@ -432,6 +432,68 @@ class TestSddmm:
             T.sddmm([0, 1], [0], T.constant(np.ones((3, 2))), T.constant(np.ones((3, 2))))
 
 
+def edge_counts(h):
+    """0, 1, B-1, B, B+1 and three blocks plus a remainder, for the
+    _edge_dot block of B edges at width h."""
+    b = T._EDGE_BLOCK // h
+    return [0, 1, b - 1, b, b + 1, 3 * b + 7]
+
+
+EDGE_CASES = [(h, m) for h in (3, 128) for m in edge_counts(h)]
+
+
+class TestBlockedEdgeDot:
+    """_edge_dot runs over blocks of edges; every path through it must equal
+    the unblocked (a[ra] * b[ca]).sum(axis=1) bit for bit."""
+
+    @staticmethod
+    def operands(h, m, seed=0):
+        rng = np.random.default_rng([seed, h, m])
+        a = rng.normal(size=(40, h)) * 10.0 ** rng.uniform(-6, 6, (40, 1))
+        b = rng.normal(size=(30, h))
+        return a, b, rng.integers(40, size=m), rng.integers(30, size=m)
+
+    @pytest.mark.parametrize("h,m", EDGE_CASES)
+    def test_edge_dot_equals_unblocked(self, h, m):
+        a, b, ra, ca = self.operands(h, m)
+        got = T._edge_dot(a, b, ra, ca)
+        want = (a[ra] * b[ca]).sum(axis=1)
+        assert got.shape == (m,) and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("h,m", EDGE_CASES)
+    def test_sddmm_forward_and_backward_equal_unblocked(self, h, m):
+        a, b, ra, ca = self.operands(h, m)
+        g = np.random.default_rng(m).normal(size=m)
+
+        def run(op):
+            u, v = T.parameter(a), T.parameter(b)
+            with T.Tape() as tape:
+                out = op(u, v)
+                T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+            return out.data, u.grad, v.grad
+
+        fused = run(lambda u, v: T.sddmm(ra, ca, u, v))
+        chain = run(lambda u, v: T.rowwise_dot(T.gather_rows(u, ra), T.gather_rows(v, ca)))
+        assert np.array_equal(fused[0], (a[ra] * b[ca]).sum(axis=1))
+        for x, y in zip(fused, chain):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+    @pytest.mark.parametrize("h,m", EDGE_CASES)
+    def test_spmm_edge_value_gradient_equals_unblocked(self, h, m):
+        a, dense0, _, cols = self.operands(h, m)
+        rng = np.random.default_rng(m)
+        counts = np.bincount(rng.integers(12, size=m), minlength=12)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows = np.repeat(np.arange(12), counts)
+        values, dense = T.parameter(rng.normal(size=m)), T.parameter(dense0)
+        g = rng.normal(size=(12, h))
+        with T.Tape() as tape:
+            out = T.spmm(offsets, cols, values, dense)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+        want = (g[rows] * dense0[cols]).sum(axis=1)
+        assert np.array_equal(values.grad.view(np.int64), want.view(np.int64))
+
+
 class TestFiniteOutputs:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
