@@ -258,8 +258,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if threads == 1:
         cells = [run_cell(cfg, base, *job) for job in jobs]
     else:
+        # numpy's error state is per thread and pool threads start from the
+        # default, so each cell runs under the caller's, as in the serial path.
+        err = np.geterr()
+
+        def cell(job):
+            with np.errstate(**err):
+                return run_cell(cfg, base, *job)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda j: run_cell(cfg, base, *j), jobs))
+            cells = list(pool.map(cell, jobs))
 
     aggregates: dict[str, dict] = {}
     for mode in cfg.modes:
@@ -660,34 +668,37 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if args.command in ("train", "sweep", "diagnose-redundancy"):
-            cfg = parse_config(_read_json(args.config))
-            if args.seed is not None:
-                cfg = replace(cfg, seeds=[args.seed])
-            out = Path(args.out)
-            if args.command == "train":
-                return cmd_train(cfg, out)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, out)
-            k_values = [int(v) for v in str(args.k_values).split(",") if v]
-            return cmd_diagnose_redundancy(cfg, k_values, out)
-        if args.command == "verify-lemmas":
-            out = Path(args.out) if args.out else None
-            return cmd_verify_lemmas(args.trials, args.seed, out)
-        if args.command == "gradcheck":
-            out = Path(args.out) if args.out else None
-            return cmd_gradcheck(args.seed, out, args.trials)
-        if args.command == "gen-sbm":
-            return cmd_gen_sbm(_read_json(args.config), Path(args.out))
-        raise ConfigError(f"unknown command {args.command!r}")
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # Numeric trouble ends in a NumericError and its one stderr line; numpy's
+    # floating-point warnings would only print ahead of it.
+    with np.errstate(all="ignore"):
+        try:
+            args = build_parser().parse_args(argv)
+            if args.command in ("train", "sweep", "diagnose-redundancy"):
+                cfg = parse_config(_read_json(args.config))
+                if args.seed is not None:
+                    cfg = replace(cfg, seeds=[args.seed])
+                out = Path(args.out)
+                if args.command == "train":
+                    return cmd_train(cfg, out)
+                if args.command == "sweep":
+                    return cmd_sweep(cfg, out)
+                k_values = [int(v) for v in str(args.k_values).split(",") if v]
+                return cmd_diagnose_redundancy(cfg, k_values, out)
+            if args.command == "verify-lemmas":
+                out = Path(args.out) if args.out else None
+                return cmd_verify_lemmas(args.trials, args.seed, out)
+            if args.command == "gradcheck":
+                out = Path(args.out) if args.out else None
+                return cmd_gradcheck(args.seed, out, args.trials)
+            if args.command == "gen-sbm":
+                return cmd_gen_sbm(_read_json(args.config), Path(args.out))
+            raise ConfigError(f"unknown command {args.command!r}")
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 2
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entrypoint() -> None:

@@ -262,9 +262,15 @@ def _bundle_lines(root: Path, name: str) -> list[str]:
     if not p.exists():
         raise ParseError(f"{name}: file missing from bundle {root}")
     try:
-        return p.read_text(encoding="utf-8").splitlines()
+        text = p.read_text(encoding="utf-8")  # reads \r\n and \r as \n
     except UnicodeDecodeError as exc:
         raise ParseError(f"{name}: not UTF-8 text (byte {exc.start})") from None
+    # Split at line ends only: str.splitlines also breaks at \x0b, \x0c,
+    # \x1c-\x1e, \x85 and U+2028/2029, which would shift every line number.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def load_bundle(path) -> Graph:

@@ -354,38 +354,58 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
 _WIDE = 64
 
 
-def _scatter_add(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """Sum ``vals[e]`` into row ``idx[e]`` of an n-row zero array, adding in
-    ascending e, so the result equals the unbuffered ``add.at`` ufunc bit for
-    bit.
+def _scatter_add(
+    idx: np.ndarray,
+    dense: np.ndarray,
+    n: int,
+    src: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sum the message ``scale[e] * dense[src[e]]`` into row ``idx[e]`` of an
+    n-row zero array, adding in ascending e, so the result equals
+    ``np.add.at(out, idx, scale[:, None] * dense[src])`` bit for bit. Without
+    ``src`` entry e reads ``dense[e]``; without ``scale`` nothing is scaled.
 
     Narrow values go through one ``np.bincount`` over (row, column) cells,
     which adds each cell's entries in e order. For wide 2-D values, entries
-    are grouped by target (stable, so e order holds within a target) and the
-    targets ordered by descending entry count; step p then adds the p-th
-    entry of every target with more than p entries, and those targets form
-    a prefix of the order, so each step is one vectorized row add.
+    are grouped by target (stable, so e order holds within a target; already
+    non-decreasing targets are grouped as they stand) and the targets ordered
+    by descending entry count; step p then adds the p-th entry of every
+    target with more than p entries, and those targets form a prefix of the
+    order, so each step is one vectorized row add. A step gathers and scales
+    only its own messages, so the m x h message array is never formed.
     """
     if idx.size == 0:
-        return np.zeros((n,) + vals.shape[1:])
-    if vals.ndim == 1:
-        return np.bincount(idx, weights=vals, minlength=n)
-    h = vals.shape[1]
-    if h < _WIDE:
+        return np.zeros((n,) + dense.shape[1:])
+    if dense.ndim == 1 or dense.shape[1] < _WIDE:
+        msg = dense if src is None else dense[src]
+        if scale is not None:
+            msg = (scale if msg.ndim == 1 else scale[:, None]) * msg
+        if msg.ndim == 1:
+            return np.bincount(idx, weights=msg, minlength=n)
+        h = msg.shape[1]
         cells = (idx[:, None] * h + np.arange(h)).reshape(-1)
-        return np.bincount(cells, weights=vals.reshape(-1), minlength=n * h).reshape(n, h)
-    out = np.zeros((n, h))
+        return np.bincount(cells, weights=msg.reshape(-1), minlength=n * h).reshape(n, h)
+    h = dense.shape[1]
     counts = np.bincount(idx, minlength=n)
-    if counts.max() == 1:
-        out[idx] += vals  # adding onto 0.0 keeps add.at's sign of zero
-        return out
-    order = np.argsort(idx, kind="stable")
+    if (idx[1:] < idx[:-1]).any():
+        order = np.argsort(idx, kind="stable")
+        src = order if src is None else src[order]
+        scale = None if scale is None else scale[order]
     targets = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     starts = (np.cumsum(counts) - counts)[targets]
     active = targets.size - np.cumsum(np.bincount(counts[targets]))
     acc = np.zeros((targets.size, h))
+    buf = np.empty((targets.size, h))
     for p, c in enumerate(active[:-1]):
-        acc[:c] += vals[order[starts[:c] + p]]
+        e = starts[:c] + p
+        # Callers validate their indices; "clip" lets take write into buf
+        # directly, where the default "raise" gathers into a temporary first.
+        np.take(dense, e if src is None else src[e], axis=0, out=buf[:c], mode="clip")
+        if scale is not None:
+            buf[:c] *= scale[e, None]
+        acc[:c] += buf[:c]
+    out = np.zeros((n, h))
     out[targets] = acc
     return out
 
@@ -505,10 +525,10 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
         raise DomainError("spmm: column index out of range")
     rows = np.repeat(np.arange(n_rows), np.diff(offs))
     vd, dd = values.data, dense.data
-    out = _scatter_add(rows, vd[:, None] * dd[cols], n_rows)
+    out = _scatter_add(rows, dd, n_rows, cols, vd)
 
     def bwd(g):
-        gd = _scatter_add(cols, vd[:, None] * g[rows], dd.shape[0])
+        gd = _scatter_add(cols, g, dd.shape[0], rows, vd)
         return (_edge_dot(g, dd, rows, cols), gd)
 
     return _out(out, (values, dense), bwd, "spmm")
@@ -529,8 +549,8 @@ def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
     ud, vd = u.data, v.data
 
     def bwd(g):
-        gu = _scatter_add(ra, g[:, None] * vd[ca], ud.shape[0])
-        gv = _scatter_add(ca, g[:, None] * ud[ra], vd.shape[0])
+        gu = _scatter_add(ra, vd, ud.shape[0], ca, g)
+        gv = _scatter_add(ca, ud, vd.shape[0], ra, g)
         return (gu, gv)
 
     return _out(_edge_dot(ud, vd, ra, ca), (u, v), bwd, "sddmm")

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ingsl
 from ingsl import tensor as T
 from ingsl.cli import default_battery, main, parse_config, run_gradcheck_battery
 from ingsl.errors import ConfigError
@@ -307,7 +310,6 @@ class TestExitCodes:
         cfg = write_config(tmp_path, bogus=1)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_numeric_divergence_exit_two(self, tmp_path):
         g = Graph(
             features=np.full((6, 2), 1e308),
@@ -322,6 +324,24 @@ class TestExitCodes:
             tmp_path, dataset={"bundle": str(tmp_path / "bad")}, seeds=[0], modes=["ingsl"], k=2
         )
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_numeric_failure_is_the_only_stderr_line(self, tmp_path, threads):
+        # In a fresh process, because pytest's warning capture would hide
+        # numpy's overflow warnings from an in-process run.
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(**SBM_SPEC), bundle)
+        (bundle / "features.csv").write_text("1e308,1e308,1e308,1e308\n" * 24)
+        cfg = write_config(tmp_path, dataset={"bundle": str(bundle)}, seeds=[0], epochs=2)
+        src = str(Path(ingsl.__file__).resolve().parents[1])
+        env = {**os.environ, "INGSL_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        proc = subprocess.run([sys.executable, "-m", "ingsl.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: "), err
 
     def test_sweep_single_level_rejected(self, tmp_path):
         cfg = write_config(tmp_path, reduction_levels=[0.5])
@@ -595,6 +615,18 @@ class TestCorruptedBundles:
         cfg = write_config(tmp_path, dataset={"bundle": str(bundle)})
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         one_error_line(capsys, f"{name}: not UTF-8 text (byte 0)")
+
+    def test_line_number_is_the_editor_line(self, tmp_path, capsys):
+        # \x1c is a line break to str.splitlines but not to an editor.
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(**SBM_SPEC), bundle)
+        path = bundle / "masks.csv"
+        lines = path.read_text().split("\n")
+        lines[2] = "train\x1ctest"
+        path.write_text("\n".join(lines))
+        cfg = write_config(tmp_path, dataset={"bundle": str(bundle)})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, "masks.csv line 3: unknown split 'train\\x1ctest'")
 
 
 class TestGenSbm:

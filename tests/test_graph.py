@@ -107,6 +107,26 @@ class TestBundleIO:
         with pytest.raises(ParseError, match="masks.csv line 3"):
             load_bundle(tmp_path / "b")
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
+    def test_only_line_ends_split_lines(self, tmp_path, sep):
+        # str.splitlines would break line 2 in two and report line 4.
+        save_bundle(tiny_graph(), tmp_path / "b")
+        (tmp_path / "b" / "masks.csv").write_text(f"train\ntrain{sep}test\nval\n")
+        with pytest.raises(ParseError, match="^masks.csv line 2: unknown split"):
+            load_bundle(tmp_path / "b")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends_load(self, tmp_path, end):
+        g = tiny_graph()
+        save_bundle(g, tmp_path / "b")
+        for name in ("edges.tsv", "features.csv", "labels.csv", "masks.csv"):
+            path = tmp_path / "b" / name
+            path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        g2 = load_bundle(tmp_path / "b")
+        assert np.array_equal(g2.features, g.features)
+        assert np.array_equal(g2.labels, g.labels) and g2.edge_set() == g.edge_set()
+        assert np.array_equal(g2.test_mask, g.test_mask)
+
     def test_label_out_of_range(self, tmp_path):
         g = tiny_graph()
         save_bundle(g, tmp_path / "b")

@@ -380,6 +380,130 @@ class TestScatterAdd:
         assert got.shape == (5,) + vals.shape[1:]
 
 
+SIGNED_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0])
+
+
+def columns(base, width):
+    """Widen a 3-column draw to ``width`` by repeating its columns, so the
+    wide kernel branches are reached without drawing every value."""
+    return np.tile(base, (1, -(-width // 3)))[:, :width]
+
+
+@st.composite
+def message_cases(draw):
+    """(idx, dense, n, src, scale): sorted, unsorted or all-unique targets,
+    possibly none and some targets with no entries, with repeated sources,
+    optional scale, and -0.0 among the dense and scale values."""
+    n = draw(st.integers(0, 8))
+    order = draw(st.sampled_from(["sorted", "unsorted", "unique"]))
+    if n and order == "unique":
+        idx = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    else:
+        idx = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=120 if n else 0))
+        if order == "sorted":
+            idx.sort()
+    m = len(idx)
+    width = draw(st.sampled_from([3, T._WIDE, 130]))
+    src = None
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 5))
+        src = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=m, max_size=m)),
+                       dtype=np.int64)
+    else:
+        rows = m
+    dense = columns(draw(arrays(np.float64, (rows, 3), elements=SIGNED_VALUES)), width)
+    scale = None
+    if draw(st.booleans()):
+        scale = draw(arrays(np.float64, (m,), elements=SIGNED_VALUES))
+    return np.array(idx, dtype=np.int64), dense, n, src, scale
+
+
+def messages_add_at(idx, dense, n, src=None, scale=None):
+    """np.add.at over the materialized messages scale[e] * dense[src[e]]."""
+    msg = dense if src is None else dense[src]
+    if scale is not None:
+        msg = scale[:, None] * msg
+    return add_at(idx, msg, n)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestFusedMessageScatter:
+    """_scatter_add with ``src``/``scale`` gathers and scales each message
+    itself; it must equal np.add.at over the materialized messages."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(message_cases())
+    def test_equals_add_at_of_messages_bit_for_bit(self, case):
+        idx, dense, n, src, scale = case
+        got = T._scatter_add(idx, dense, n, src, scale)
+        want = messages_add_at(idx, dense, n, src, scale)
+        assert got.dtype == np.float64 and same_bits(got, want)
+
+    @pytest.mark.parametrize("width", [3, T._WIDE, 130])
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_many_repeats_with_scale(self, width, sort):
+        # Long runs per target and scales spanning 16 decades, so grouping
+        # out of entry order, or scaling partial sums, changes the bits.
+        rng = np.random.default_rng([width, sort])
+        idx = rng.integers(4, size=3000)
+        if sort:
+            idx.sort()
+        src = rng.integers(50, size=3000)
+        dense = rng.normal(size=(50, width))
+        scale = rng.normal(size=3000) * 10.0 ** rng.integers(-8, 8, 3000)
+        got = T._scatter_add(idx, dense, 6, src, scale)
+        assert same_bits(got, messages_add_at(idx, dense, 6, src, scale))
+
+    @staticmethod
+    def spmm_operands(width, seed):
+        rng = np.random.default_rng([width, seed])
+        counts = rng.integers(0, 9, size=12)
+        counts[3] = 0  # a row with no edges
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows = np.repeat(np.arange(12), counts)
+        cols = rng.integers(10, size=rows.size)
+        vals = rng.normal(size=rows.size)
+        vals[::7] = -0.0
+        dense = rng.normal(size=(10, width))
+        dense[2] = -0.0
+        return offsets, rows, cols, vals, dense, rng.normal(size=(12, width))
+
+    @pytest.mark.parametrize("width", [3, T._WIDE, 130])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_spmm_equals_materialized_messages(self, width, seed):
+        offsets, rows, cols, vals, dense0, g = self.spmm_operands(width, seed)
+        values, dense = T.parameter(vals), T.parameter(dense0)
+        with T.Tape() as tape:
+            out = T.spmm(offsets, cols, values, dense)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+        assert same_bits(out.data, add_at(rows, vals[:, None] * dense0[cols], 12))
+        assert same_bits(dense.grad, add_at(cols, vals[:, None] * g[rows], 10))
+
+    @pytest.mark.parametrize("width", [3, T._WIDE, 130])
+    @pytest.mark.parametrize("candidates", [False, True])
+    def test_sddmm_gradients_equal_materialized_messages(self, width, candidates):
+        # candidates: rows laid out as build_candidates does, k per node.
+        rng = np.random.default_rng([width, candidates])
+        if candidates:
+            ra = np.repeat(np.arange(9), 4)
+        else:
+            ra = rng.integers(9, size=36)
+        ca = rng.integers(7, size=36)
+        u0, v0 = rng.normal(size=(9, width)), rng.normal(size=(7, width))
+        v0[1] = -0.0
+        g = rng.normal(size=36)
+        g[::5] = -0.0
+        u, v = T.parameter(u0), T.parameter(v0)
+        with T.Tape() as tape:
+            out = T.sddmm(ra, ca, u, v)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+        assert same_bits(u.grad, add_at(ra, g[:, None] * v0[ca], 9))
+        assert same_bits(v.grad, add_at(ca, g[:, None] * u0[ra], 7))
+
+
 class TestSddmm:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(0, 20))
