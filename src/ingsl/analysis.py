@@ -180,7 +180,7 @@ def lemma2_check(
         w_c = rng.standard_normal((dim, classes))
         label = int(rng.integers(classes))
         lhs = abs(_cross_entropy(z_next, w_c, label) - _cross_entropy(z_i, w_c, label))
-        rhs = 2.0 * b_norm * spectral_norm(w_c, seed=t) * np.sqrt(1.0 - eps)
+        rhs = 2.0 * b_norm * spectral_norm(w_c) * np.sqrt(1.0 - eps)
         margin = rhs - lhs
         if margin < worst:
             worst = margin

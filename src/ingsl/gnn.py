@@ -148,28 +148,13 @@ def flops_estimate(adj_edge_count: int, layer_dims: list[int], n: int) -> int:
     return total
 
 
-def spectral_norm(
-    w: np.ndarray, iters: int = 100, tol: float = 1e-8, seed: int = 0
-) -> float:
-    """Largest singular value via power iteration on w^T w."""
+def spectral_norm(w: np.ndarray) -> float:
+    """Largest singular value, exact to rounding."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeError("spectral_norm requires a matrix")
+    if not np.isfinite(w).all():
+        raise NumericError("spectral_norm requires finite entries")
     if not w.any():
         return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        u = w @ v
-        v_new = w.T @ u
-        norm = np.linalg.norm(v_new)
-        if norm == 0.0:
-            return 0.0
-        v_new /= norm
-        sigma_new = np.linalg.norm(w @ v_new)
-        if abs(sigma_new - sigma) < tol:
-            return float(sigma_new)
-        sigma, v = sigma_new, v_new
-    return float(sigma)
+    return float(np.linalg.svd(w, compute_uv=False)[0])

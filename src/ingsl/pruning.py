@@ -326,15 +326,10 @@ def _edge_stats(s: SparseAdjacency, g: Graph) -> tuple[int, int]:
     """Directed entries absent from the original graph, and the count of
     distinct undirected pairs among them."""
     rows, cols = s.directed_pairs()
-    original = g.edge_set()
-    directed = 0
-    undirected: set[tuple[int, int]] = set()
-    for i, j in zip(rows, cols):
-        pair = (int(i), int(j)) if i < j else (int(j), int(i))
-        if pair not in original:
-            directed += 1
-            undirected.add(pair)
-    return directed, len(undirected)
+    # An undirected pair {i, j} is the integer min * n + max.
+    keys = np.minimum(rows, cols) * g.n + np.maximum(rows, cols)
+    new = keys[~np.isin(keys, g.edges[:, 0] * g.n + g.edges[:, 1])]
+    return int(new.size), int(np.unique(new).size)
 
 
 def _structure_for_epoch(
@@ -404,18 +399,51 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
     batch_size = cfg.prune.batch_size or min(g.n, 256)
     beta = cfg.prune.beta
 
-    best: dict | None = None
-    since_best = 0
-    epochs_run = 0
-    for epoch in range(cfg.epochs):
-        epochs_run = epoch + 1
-        try:
+    redraws = cfg.mode == "random_prune"  # structure keyed by the epoch
+    best, since_best = None, 0
+
+    def forward(epoch: int) -> tuple:
+        e, cand, s = _structure_for_epoch(g, x, a_hat, params_s, scorer, cfg, epoch)
+        adj = fuse_with_original(g, s, cfg.residual_weight)
+        return (e, cand, s, adj, *gcn_forward(adj, x, params_t))
+
+    def evaluate(epoch: int, fwd: tuple) -> bool:
+        """Score and maybe snapshot ``epoch``'s parameters; True once patience runs out."""
+        nonlocal best, since_best
+        e, cand, s, adj, _, logits = fwd
+        val = accuracy(logits, g.labels, g.val_mask)
+        # Detached, so that scoring records nothing on a training tape.
+        val_loss = float(task_loss(T.constant(logits.data), g.labels, g.val_mask).data)
+        # Ties on the small validation set are broken by validation loss.
+        if best is not None and (val, -val_loss) <= (best["val"], -best["val_loss"]):
+            since_best += 1
+            return since_best >= cfg.patience
+        best = {
+            "val": val,
+            "val_loss": val_loss,
+            "test": accuracy(logits, g.labels, g.test_mask),
+            "epoch": epoch,
+            "pruned": _detach_sparse(s),
+            "embeddings": e.data.copy(),
+            "params": {n: p.data.copy() for n, p in all_tensors.items()},
+            "fused_nnz": adj.nnz,
+            "candidates": cand.sparse.nnz,
+        }
+        since_best = 0
+        return False
+
+    # Each taped forward runs on the previous epoch's parameters, so outside
+    # random_prune it also evaluates that epoch, and its failures name it.
+    epochs_run = at = 0
+    try:
+        for epoch in range(cfg.epochs):
+            at = max(epoch - 1, 0)
             with T.Tape() as tape:
-                _, cand, s_t = _structure_for_epoch(
-                    g, x, a_hat, params_s, scorer, cfg, epoch
-                )
-                adj_t = fuse_with_original(g, s_t, cfg.residual_weight)
-                z_t, logits = gcn_forward(adj_t, x, params_t)
+                fwd = forward(epoch)
+                if epoch > 0 and not redraws and evaluate(epoch - 1, fwd):
+                    break
+                at = epoch
+                _, cand, s_t, _, z_t, logits = fwd
                 loss = task_loss(logits, g.labels, g.train_mask)
                 if cfg.lam > 0:
                     rows, cols = s_t.directed_pairs()
@@ -432,12 +460,9 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                     )
                     if good.size >= 2:
                         rng_mi = np.random.default_rng([seed, 3, epoch])
-                        ids = sample_batch(
-                            good.size, min(batch_size, good.size), rng_mi
-                        )
-                        zt_g = T.gather_rows(z_t, good)
-                        zf_g = T.gather_rows(z_full, good)
-                        loss = total_loss(loss, mi_loss(zt_g, zf_g, ids), beta)
+                        ids = sample_batch(good.size, min(batch_size, good.size), rng_mi)
+                        mi = mi_loss(T.gather_rows(z_t, good), T.gather_rows(z_full, good), ids)
+                        loss = total_loss(loss, mi, beta)
                 if not np.isfinite(loss.data):
                     raise NumericError("loss is not finite")
                 T.backward(loss, tape)
@@ -447,36 +472,14 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
             }
             adam_step(state, grads, cfg.lr)
             T.zero_grads(all_tensors.values())
-        except NumericError as exc:
-            raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
-
-        e_eval, cand_eval, s_eval = _structure_for_epoch(
-            g, x, a_hat, params_s, scorer, cfg, epoch
-        )
-        adj_eval = fuse_with_original(g, s_eval, cfg.residual_weight)
-        _, logits_eval = gcn_forward(adj_eval, x, params_t)
-        val = accuracy(logits_eval, g.labels, g.val_mask)
-        test = accuracy(logits_eval, g.labels, g.test_mask)
-        val_loss = float(task_loss(logits_eval, g.labels, g.val_mask).data)
-
-        # Ties on the small validation set are broken by validation loss.
-        if best is None or (val, -val_loss) > (best["val"], -best["val_loss"]):
-            best = {
-                "val": val,
-                "val_loss": val_loss,
-                "test": test,
-                "epoch": epoch,
-                "pruned": _detach_sparse(s_eval),
-                "embeddings": e_eval.data.copy(),
-                "params": {n: p.data.copy() for n, p in all_tensors.items()},
-                "fused_nnz": adj_eval.nnz,
-                "candidates": cand_eval.sparse.nnz,
-            }
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
+            epochs_run = epoch + 1
+            if redraws and evaluate(epoch, forward(epoch)):
                 break
+        else:
+            if not redraws:
+                evaluate(epoch, forward(epoch))
+    except NumericError as exc:
+        raise NumericError(f"training diverged at epoch {at}: {exc}") from exc
 
     for name, data in best["params"].items():
         all_tensors[name].data = data.copy()
@@ -496,8 +499,5 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
         fused_nnz=best["fused_nnz"],
     )
     return TrainResult(
-        params=all_tensors,
-        pruned=best["pruned"],
-        embeddings=best["embeddings"],
-        report=report,
+        params=all_tensors, pruned=best["pruned"], embeddings=best["embeddings"], report=report
     )

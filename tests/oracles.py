@@ -131,3 +131,18 @@ def pairwise_cos_loop(vectors):
             vj = vectors[j] / np.linalg.norm(vectors[j])
             vals.append(float(vi @ vj))
     return float(np.mean(vals))
+
+
+def edge_stats_loop(rows, cols, original_edges):
+    """Directed (i, j) entries whose undirected pair is not an original edge,
+    and the count of distinct undirected pairs among them, by a set lookup
+    per entry."""
+    original = {(int(i), int(j)) for i, j in original_edges}
+    directed = 0
+    undirected = set()
+    for i, j in zip(rows, cols):
+        pair = (int(i), int(j)) if i < j else (int(j), int(i))
+        if pair not in original:
+            directed += 1
+            undirected.add(pair)
+    return directed, len(undirected)

@@ -226,3 +226,19 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError):
+                spectral_norm(np.array([[1.0, bad], [0.0, 2.0]]))
+
+    def test_exact_on_random_shapes(self):
+        # Power iteration with an absolute stopping rule understated this by
+        # up to 2e-3 relative on such matrices; the norm must be exact.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            shape = tuple(int(d) for d in rng.integers(1, 17, size=2))
+            w = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+            got = spectral_norm(w)
+            assert abs(got - np.linalg.svd(w, compute_uv=False)[0]) <= 1e-12 * got
+            assert abs(got - np.sqrt(np.linalg.eigvalsh(w.T @ w)[-1])) <= 1e-12 * got

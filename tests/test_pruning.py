@@ -7,11 +7,21 @@ from hypothesis import strategies as st
 
 from ingsl import tensor as T
 from ingsl.errors import ConfigError, NumericError, ShapeError
-from ingsl.gnn import TrainState, adam_step, gcn_forward, make_gcn_params, task_loss
+from ingsl import pruning
+from ingsl.gnn import (
+    GcnParams,
+    TrainState,
+    accuracy,
+    adam_step,
+    gcn_forward,
+    make_gcn_params,
+    task_loss,
+)
 from ingsl.graph import Graph, SparseAdjacency, generate_sbm, normalize_adjacency
 from ingsl.gsl import CandidateGraph, build_candidates, encode_structure, fuse_with_original
 from ingsl.pruning import (
     KEEP_ALL,
+    MODES,
     DiversityScorer,
     PruneConfig,
     TrainConfig,
@@ -26,7 +36,7 @@ from ingsl.pruning import (
     train_ingsl,
 )
 
-from oracles import kth_largest_lexsort, mi_naive
+from oracles import edge_stats_loop, kth_largest_lexsort, mi_naive
 
 
 def candidate_fixture(rng, n=10, k=3, h=4):
@@ -350,6 +360,72 @@ class TestThresholdPruneComposition:
         assert T.gradient_check(f, leaves) < 1e-4
 
 
+def csr_from_pairs(n, pairs):
+    pairs = sorted(pairs)
+    rows = np.array([i for i, _ in pairs], dtype=np.int64)
+    counts = np.bincount(rows, minlength=n)
+    return SparseAdjacency(
+        np.concatenate([[0], np.cumsum(counts)]),
+        np.array([j for _, j in pairs], dtype=np.int64),
+        T.constant(np.ones(len(pairs))),
+        n,
+    )
+
+
+def graph_with_edges(n, edges):
+    masks = np.arange(n) % 3
+    return Graph(
+        features=np.zeros((n, 2)),
+        labels=np.zeros(n, dtype=np.int64),
+        edges=sorted(edges),
+        train_mask=masks == 0,
+        val_mask=masks == 1,
+        test_mask=masks == 2,
+        classes=2,
+    )
+
+
+@st.composite
+def pruned_and_original(draw):
+    """Directed kept pairs and an undirected original edge set that holds
+    all of their pairs, none of them, or a random mix."""
+    n = draw(st.integers(3, 9))
+    directed = draw(st.sets(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j])))
+    touched = {(min(p), max(p)) for p in directed}
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in touched]
+    extra = draw(st.sets(st.sampled_from(others))) if others else set()
+    kind = draw(st.sampled_from(["all_original", "all_new", "mixed"]))
+    if kind == "all_original":
+        edges = touched | extra
+    elif kind == "all_new":
+        edges = extra
+    else:
+        edges = draw(st.sets(st.sampled_from(sorted(touched)))) | extra if touched else extra
+    return n, directed, edges
+
+
+class TestEdgeStats:
+    @settings(max_examples=300, deadline=None)
+    @given(pruned_and_original())
+    def test_matches_loop(self, case):
+        n, directed, edges = case
+        s = csr_from_pairs(n, directed)
+        g = graph_with_edges(n, edges)
+        rows, cols = s.directed_pairs()
+        assert pruning._edge_stats(s, g) == edge_stats_loop(rows, cols, g.edges)
+
+    def test_hand_cases(self):
+        mutual = [(0, 1), (1, 0), (0, 2), (2, 3), (3, 2)]
+        cases = [
+            ([], [(0, 1)], (0, 0)),  # empty pruned graph
+            (mutual, [(0, 1), (0, 2), (2, 3)], (0, 0)),  # all original
+            (mutual, [], (5, 3)),  # all new; mutual pairs count once undirected
+            (mutual, [(0, 2)], (4, 2)),
+        ]
+        for pairs, edges, want in cases:
+            assert pruning._edge_stats(csr_from_pairs(4, pairs), graph_with_edges(4, edges)) == want
+
+
 class TestTraining:
     def small_graph(self):
         return generate_sbm([8, 8], 0.5, 0.05, 4, 0.3, seed=5)
@@ -465,3 +541,95 @@ class TestTraining:
         assert res.report.best_epoch < res.report.epochs_run
         assert set(res.params) >= {"gnn_t.layer0", "gnn_t.classifier", "gnn_s.layer0"}
         assert res.embeddings.shape == (g.n, 8)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("patience", [1, 3, 30])
+    def test_best_epoch_replays(self, monkeypatch, mode, patience):
+        # Validation is scored from the next epoch's taped forward; the
+        # restored parameters must be those the best epoch's update left, and
+        # one untaped forward on them must reproduce the reported best epoch,
+        # with random_prune redrawing that epoch's edges.
+        after_step = []
+        real_adam = pruning.adam_step
+
+        def recording_adam(state, grads, lr):
+            real_adam(state, grads, lr)
+            after_step.append({n: t.data.copy() for n, t in state.params.items()})
+            return state
+
+        monkeypatch.setattr(pruning, "adam_step", recording_adam)
+        g = generate_sbm([10, 10, 10], 0.4, 0.05, 4, 1.0, seed=3)
+        # Early stopping fires at patience 1 in every mode here.
+        cfg = self.config(mode=mode, k=5, lr=5e-2, epochs=30, patience=patience)
+        res = train_ingsl(g, cfg)
+        rep = res.report
+        assert len(after_step) == rep.epochs_run
+        for name, data in after_step[rep.best_epoch].items():
+            assert np.array_equal(res.params[name].data, data), name
+        p = res.params
+        params_s = GcnParams([p["gnn_s.layer0"], p["gnn_s.layer1"]])
+        params_t = GcnParams([p["gnn_t.layer0"], p["gnn_t.layer1"]], p["gnn_t.classifier"])
+        scorer = None
+        if mode == "ingsl":
+            scorer = DiversityScorer("bilinear", bilinear_weight=p["scorer.bilinear"])
+        x = T.constant(g.features)
+        e, _, s = pruning._structure_for_epoch(
+            g, x, normalize_adjacency(g), params_s, scorer, cfg, rep.best_epoch
+        )
+        _, logits = gcn_forward(fuse_with_original(g, s, cfg.residual_weight), x, params_t)
+        assert accuracy(logits, g.labels, g.test_mask) == rep.test_acc
+        assert s.nnz == rep.edges_final
+        assert np.array_equal(s.col_indices, res.pruned.col_indices)
+        assert np.array_equal(s.values.data, res.pruned.values.data)
+        assert np.array_equal(e.data, res.embeddings)
+        assert rep.epochs_run == cfg.epochs or rep.epochs_run - 1 - rep.best_epoch == patience
+
+    @pytest.mark.parametrize(
+        "mode,unreachable",
+        [("ingsl", 1), ("similarity_only", 0), ("random_prune", 0), ("no_reduction", 0)],
+    )
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_tape_holds_only_loss_nodes(self, monkeypatch, mode, unreachable, lam):
+        # Scoring validation from the taped forward must record nothing on
+        # the training tape. The one dead node in ingsl is the classifier
+        # matmul of the full-graph pass, whose logits the loss never reads.
+        counts = []
+        real_backward = T.backward
+
+        def counting_backward(loss, tape):
+            needed = {id(loss)}
+            dead = 0
+            for node in reversed(tape.nodes):
+                if id(node.output) in needed:
+                    needed.update(id(t) for t in node.inputs)
+                else:
+                    dead += 1
+            counts.append(dead)
+            real_backward(loss, tape)
+
+        monkeypatch.setattr(T, "backward", counting_backward)
+        cfg = self.config(mode=mode, lam=lam, epochs=6, patience=6)
+        train_ingsl(self.small_graph(), cfg)
+        assert counts == [unreachable] * cfg.epochs
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bad_epoch", [4, 9])
+    def test_divergence_names_the_epoch_of_the_parameters(self, monkeypatch, mode, bad_epoch):
+        # A NaN written by epoch t's update is met when epoch t is scored:
+        # in epoch t + 1's forward, random_prune's own pass, or the final
+        # pass after the last epoch. Each must name epoch t.
+        real_adam = pruning.adam_step
+
+        def poisoning_adam(state, grads, lr):
+            real_adam(state, grads, lr)
+            if state.step == bad_epoch + 1:
+                state.params["gnn_t.layer0"].data[0, 0] = np.nan
+            return state
+
+        monkeypatch.setattr(pruning, "adam_step", poisoning_adam)
+        cfg = self.config(mode=mode, epochs=10, patience=10)
+        with pytest.raises(NumericError) as info:
+            train_ingsl(self.small_graph(), cfg)
+        msg = str(info.value)
+        assert msg.startswith(f"training diverged at epoch {bad_epoch}: ")
+        assert "\n" not in msg and msg.count("diverged") == 1
