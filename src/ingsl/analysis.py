@@ -9,7 +9,8 @@ Bound 2: if a node's neighbors share its representation norm and have cosine
 loss by at most 2*B*||W_c||_2*sqrt(1-eps).
 
 Trials derive their randomness from (seed, trial index), so results are
-independent of execution order.
+independent of execution order. Each trial draws all of its neighbors in one
+``sample_cone`` call.
 """
 
 from __future__ import annotations
@@ -78,18 +79,19 @@ def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
             return v / norm
 
 
-def _cone_sample(rng: np.random.Generator, anchor: np.ndarray, eps: float) -> np.ndarray:
-    """Unit vector with cosine >= eps to the unit anchor, built geometrically:
-    u = c*anchor + sqrt(1-c^2)*w with c uniform in [eps, 1] and unit w ⟂ anchor.
-    """
-    c = rng.uniform(eps, 1.0)
-    w = rng.standard_normal(anchor.shape[0])
-    w -= (w @ anchor) * anchor
-    norm = np.linalg.norm(w)
-    if norm < 1e-12:
-        return anchor.copy()
-    w /= norm
-    return c * anchor + np.sqrt(max(0.0, 1.0 - c * c)) * w
+def cone_points(anchor: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows c*anchor + sqrt(1-c^2)*unit(w ⟂ anchor), or the anchor where |w ⟂ anchor| < 1e-12."""
+    w = w - np.outer(w @ anchor, anchor)
+    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    flat = norm < 1e-12
+    w /= np.where(flat, 1.0, norm)
+    u = c[:, None] * anchor + np.sqrt(np.maximum(0.0, 1.0 - c * c))[:, None] * w
+    return np.where(flat, anchor, u)
+
+
+def sample_cone(rng: np.random.Generator, anchor: np.ndarray, eps: float, n: int) -> np.ndarray:
+    """n unit vectors with cosine >= eps to the unit anchor, c uniform in [eps, 1]."""
+    return cone_points(anchor, rng.uniform(eps, 1.0, n), rng.standard_normal((n, len(anchor))))
 
 
 def lemma1_check(
@@ -112,7 +114,7 @@ def lemma1_check(
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         eps = rng.uniform(eps_range[0], eps_range[1])
         anchor = _unit_sphere(rng, dim)
-        neighbors = np.stack([_cone_sample(rng, anchor, eps) for _ in range(n)])
+        neighbors = sample_cone(rng, anchor, eps, n)
         observed = avg_pairwise_similarity(neighbors)
         margin = observed - lemma1_bound(n, eps)
         if margin < worst:
@@ -169,9 +171,7 @@ def lemma2_check(
 
         anchor_dir = _unit_sphere(rng, dim)
         z_i = rho * anchor_dir
-        neighbors = np.stack(
-            [rho * _cone_sample(rng, anchor_dir, eps) for _ in range(n)]
-        )
+        neighbors = rho * sample_cone(rng, anchor_dir, eps, n)
         weights = rng.uniform(0.0, 1.0, n)
         total = weights.sum()
         weights = np.full(n, 1.0 / n) if total <= 0 else weights / total

@@ -16,7 +16,7 @@ level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -451,7 +451,8 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                     loss = gsl_objective(loss, reg, cfg.lam)
                 if cfg.mode == "ingsl" and beta > 0:
                     adj_full = fuse_with_original(g, cand, cfg.residual_weight)
-                    z_full, _ = gcn_forward(adj_full, x, params_t)
+                    # Representations only: the contrastive term never reads logits.
+                    z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
                     # Rows zeroed by dead ReLU units have no cosine; restrict
                     # the contrastive term to the non-degenerate rows.
                     good = np.flatnonzero(

@@ -146,3 +146,16 @@ def edge_stats_loop(rows, cols, original_edges):
             directed += 1
             undirected.add(pair)
     return directed, len(undirected)
+
+
+def cone_sample_row(anchor, c, w):
+    """One cone point c*anchor + sqrt(1-c^2)*w_hat, w_hat being w projected
+    ⟂ the unit anchor and normalised; the anchor when that projection is
+    shorter than 1e-12."""
+    w = np.array(w, dtype=np.float64)
+    w -= (w @ anchor) * anchor
+    norm = np.linalg.norm(w)
+    if norm < 1e-12:
+        return anchor.copy()
+    w /= norm
+    return c * anchor + np.sqrt(max(0.0, 1.0 - c * c)) * w

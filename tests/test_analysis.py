@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 from ingsl.analysis import (
     avg_pairwise_similarity,
     complexity_estimate,
+    cone_points,
     lemma1_bound,
     lemma1_check,
     lemma2_check,
     redundancy_profile,
+    sample_cone,
 )
 from ingsl.errors import ConfigError, DomainError, MetricError
 from ingsl.gnn import spectral_norm
 
-from oracles import pairwise_cos_loop, softmax_ce
+from oracles import cone_sample_row, pairwise_cos_loop, softmax_ce
 
 
 class TestAvgPairwiseSimilarity:
@@ -59,6 +61,67 @@ class TestBoundFormula:
     @given(st.integers(2, 60), st.floats(0.0, 0.98), st.floats(0.005, 0.02))
     def test_increasing_in_eps(self, n, eps, step):
         assert lemma1_bound(n, eps + step) > lemma1_bound(n, eps)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+class TestConeSampler:
+    @pytest.mark.parametrize("dim,n,eps", [(2, 1, 0.0), (3, 7, 0.5), (16, 50, 0.9), (32, 20, 1.0)])
+    def test_matches_scalar_oracle(self, dim, n, eps):
+        rng = np.random.default_rng([dim, n])
+        anchor = _unit(rng.standard_normal(dim))
+        c = rng.uniform(eps, 1.0, n)
+        w = rng.standard_normal((n, dim))
+        w[0] = 0.0  # degenerate direction: falls back to the anchor
+        got = cone_points(anchor, c, w)
+        want = np.stack([cone_sample_row(anchor, c[i], w[i]) for i in range(n)])
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_sampler_draws_c_then_w(self):
+        anchor = _unit(np.array([1.0, -2.0, 0.5, 3.0]))
+        got = sample_cone(np.random.default_rng(7), anchor, 0.3, 11)
+        rng = np.random.default_rng(7)
+        c = rng.uniform(0.3, 1.0, 11)
+        w = rng.standard_normal((11, 4))
+        assert np.array_equal(got, cone_points(anchor, c, w))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 32),
+        st.integers(1, 50),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(-10.0, 10.0), max_size=50),
+    )
+    def test_rows_unit_and_in_cone(self, dim, n, eps, seed, multiples):
+        rng = np.random.default_rng(seed)
+        anchor = _unit(rng.standard_normal(dim))
+        c = rng.uniform(eps, 1.0, n)
+        w = rng.standard_normal((n, dim))
+        parallel = np.arange(min(n, len(multiples)))
+        w[parallel] = np.outer(multiples[: parallel.size], anchor)
+        u = cone_points(anchor, c, w)
+        assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-12
+        assert (u @ anchor).min() >= eps - 1e-12
+        assert np.array_equal(u[parallel], np.tile(anchor, (parallel.size, 1)))
+
+    def test_distribution(self):
+        eps, draws = 0.3, 20000
+        rng = np.random.default_rng(11)
+        anchor = _unit(rng.standard_normal(6))
+        u = sample_cone(rng, anchor, eps, draws)
+        cos = u @ anchor
+        width = 1.0 - eps
+        mean, var = (1.0 + eps) / 2.0, width**2 / 12.0
+        # Standard errors of the sample mean and variance of uniform[eps, 1].
+        assert abs(cos.mean() - mean) < 5.0 * np.sqrt(var / draws)
+        assert abs(cos.var() - var) < 5.0 * width**2 * np.sqrt((1 / 80 - 1 / 144) / draws)
+        perp = u - np.outer(cos, anchor)
+        assert np.abs(perp @ anchor).max() < 1e-12
+        # The direction ⟂ anchor is isotropic, so its mean is near 0.
+        assert np.linalg.norm(perp.mean(axis=0)) < 5.0 * np.sqrt((perp**2).sum(axis=1).mean() / draws)
 
 
 class TestSimilarityFloor:
