@@ -58,10 +58,9 @@ def avg_pairwise_similarity(vectors) -> float:
     if (norms < 1e-12).any():
         raise MetricError("pairwise similarity undefined for zero rows")
     unit = data / norms[:, None]
-    gram = unit @ unit.T
+    total = unit.sum(axis=0)  # |sum u|^2 = sum |u_i|^2 + 2 * (sum over pairs)
     n = data.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    return float(gram[iu, ju].mean())
+    return float((total @ total - np.einsum("ij,ij->", unit, unit)) / (n * (n - 1)))
 
 
 def lemma1_bound(n_neighbors: int, eps: float) -> float:

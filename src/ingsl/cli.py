@@ -452,7 +452,7 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
         adj3 = SparseAdjacency(
             np.arange(n + 1, dtype=np.int64) * k, cols.reshape(-1), vals, n
         )
-        cand = CandidateGraph(sparse=adj3, k=k, source_embeddings=T.constant(np.zeros((n, 2))))
+        cand = CandidateGraph(sparse=adj3)
         eps = select_threshold(vals.data * w.data, 0.5)
         x = vals.data * w.data
         margin = np.abs(x - eps).min()
@@ -553,8 +553,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_verify_lemmas(trials: int, seed: int, out: Path | None) -> int:
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     rep1 = lemma1_check(trials, seed=seed)
     rep2 = lemma2_check(trials, seed=seed)
     payload = {
@@ -573,8 +571,6 @@ def cmd_verify_lemmas(trials: int, seed: int, out: Path | None) -> int:
 
 
 def cmd_gradcheck(seed: int, out: Path | None, trials: int = 1) -> int:
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
     worst: dict[str, dict] = {}
     ok = True
     for t in range(trials):
@@ -602,6 +598,8 @@ def cmd_gradcheck(seed: int, out: Path | None, trials: int = 1) -> int:
 
 def cmd_diagnose_redundancy(cfg: ExperimentConfig, k_values: list[int], out: Path) -> int:
     base = resolve_dataset(cfg)
+    if max(k_values) >= base.n:
+        raise ConfigError(f"--k-values must be < n = {base.n}, got {max(k_values)}")
     result = train_ingsl(base, cfg.train_config("no_reduction", 0.0, cfg.seeds[0]))
     profile = redundancy_profile(result.embeddings, k_values)
     out.mkdir(parents=True, exist_ok=True)
@@ -635,6 +633,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _k_values(raw: str) -> list[int]:
+    """The --k-values list: comma-separated integers, each >= 1."""
+    values = [v.strip() for v in raw.split(",") if v.strip()]
+    if not values or not all(v.isdecimal() and int(v) >= 1 for v in values):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers >= 1, got {raw!r}")
+    return [int(v) for v in values]
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ingsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -658,7 +664,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diagnose-redundancy")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k-values", default="2,5,10,20")
+    p.add_argument("--k-values", type=_k_values, default="2,5,10,20")
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("gen-sbm")
@@ -682,13 +688,15 @@ def main(argv=None) -> int:
                     return cmd_train(cfg, out)
                 if args.command == "sweep":
                     return cmd_sweep(cfg, out)
-                k_values = [int(v) for v in str(args.k_values).split(",") if v]
-                return cmd_diagnose_redundancy(cfg, k_values, out)
-            if args.command == "verify-lemmas":
+                return cmd_diagnose_redundancy(cfg, args.k_values, out)
+            if args.command in ("verify-lemmas", "gradcheck"):
+                if args.trials < 1:
+                    raise ConfigError("--trials must be >= 1")
+                if args.seed < 0:
+                    raise ConfigError(f"--seed must be >= 0, got {args.seed}")
                 out = Path(args.out) if args.out else None
-                return cmd_verify_lemmas(args.trials, args.seed, out)
-            if args.command == "gradcheck":
-                out = Path(args.out) if args.out else None
+                if args.command == "verify-lemmas":
+                    return cmd_verify_lemmas(args.trials, args.seed, out)
                 return cmd_gradcheck(args.seed, out, args.trials)
             if args.command == "gen-sbm":
                 return cmd_gen_sbm(_read_json(args.config), Path(args.out))

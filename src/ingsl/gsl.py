@@ -20,8 +20,6 @@ class CandidateGraph:
     """Row-wise top-K similarity graph over learned embeddings."""
 
     sparse: SparseAdjacency
-    k: int
-    source_embeddings: T.Tensor
 
     @property
     def n(self) -> int:
@@ -86,7 +84,7 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
     values = T.sddmm(src, dst, base, base)
     row_offsets = np.arange(n + 1, dtype=np.int64) * k
     sparse = SparseAdjacency(row_offsets, dst, values, n)
-    return CandidateGraph(sparse=sparse, k=k, source_embeddings=e)
+    return CandidateGraph(sparse=sparse)
 
 
 def gsl_objective(task: T.Tensor, reg: T.Tensor, lam: float) -> T.Tensor:

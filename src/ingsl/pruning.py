@@ -43,7 +43,6 @@ from .gsl import (
     gsl_objective,
 )
 
-MODES = ("ingsl", "similarity_only", "random_prune", "no_reduction")
 SCORER_KINDS = ("bilinear", "mlp")
 KEEP_ALL = float("-inf")  # sentinel threshold: every candidate survives
 
@@ -78,15 +77,10 @@ class DiversityScorer:
         return {"scorer.mlp_hidden": self.mlp_hidden, "scorer.mlp_out": self.mlp_out}
 
 
-def make_scorer(
-    kind: str, h: int, rng: np.random.Generator, init: str = "glorot"
-) -> DiversityScorer:
+def make_scorer(kind: str, h: int, rng: np.random.Generator) -> DiversityScorer:
     if kind == "bilinear":
-        w = np.eye(h) if init == "identity" else glorot(rng, h, h)
-        return DiversityScorer(kind="bilinear", bilinear_weight=T.parameter(w))
+        return DiversityScorer(kind="bilinear", bilinear_weight=T.parameter(glorot(rng, h, h)))
     if kind == "mlp":
-        if init == "identity":
-            raise ConfigError("identity init only applies to the bilinear scorer")
         return DiversityScorer(
             kind="mlp",
             mlp_hidden=T.parameter(glorot(rng, 2 * h, h)),
@@ -168,6 +162,27 @@ def prune(s: CandidateGraph, w: T.Tensor, eps_thr: float) -> SparseAdjacency:
     return _subset_csr(s.sparse, kept, T.sigmoid(T.take(x, kept)))
 
 
+def _keep_top_similar(sim: np.ndarray, r: float, rng) -> np.ndarray | None:
+    return None if r == 0.0 else np.flatnonzero(sim >= select_threshold(sim, r))
+
+
+def _keep_uniform(sim: np.ndarray, r: float, rng: np.random.Generator) -> np.ndarray:
+    return np.sort(rng.choice(sim.size, size=keep_count(sim.size, r), replace=False))
+
+
+# The one definition of each mode, the method first: name -> (keep rule,
+# redraws). A keep rule maps candidate similarities, r and the epoch's
+# generator to kept indices, or to None to keep all; the method has none, as
+# it prunes by the learned scorer and trains the contrastive term.
+MODE_TABLE = {
+    "ingsl": (None, False),
+    "similarity_only": (_keep_top_similar, False),
+    "random_prune": (_keep_uniform, True),
+    "no_reduction": (lambda sim, r, rng: None, False),
+}
+MODES = tuple(MODE_TABLE)
+
+
 # ---------------------------------------------------------------------------
 # mutual-information objective
 # ---------------------------------------------------------------------------
@@ -238,7 +253,6 @@ class PruneConfig:
     beta: float = 0.5
     batch_size: int | None = None  # None -> min(n, 256)
     seed: int = 0
-    eps_thr: float | None = None  # fixed threshold; None -> per-epoch quantile
 
     def __post_init__(self):
         if not (0.0 <= self.reduction < 1.0):
@@ -256,7 +270,7 @@ class TrainConfig:
     """Full settings for one training run."""
 
     prune: PruneConfig = field(default_factory=PruneConfig)
-    mode: str = "ingsl"
+    mode: str = MODES[0]
     k: int = 30
     hidden: int = 128
     lr: float = 1e-2
@@ -265,12 +279,10 @@ class TrainConfig:
     lam: float = 0.0
     residual_weight: float = 1.0
     scorer_kind: str = "bilinear"
-    scorer_init: str = "glorot"
-    train_scorer: bool = True
     metric: str = "inner"
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in MODE_TABLE:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
@@ -344,62 +356,43 @@ def _structure_for_epoch(
     """Encoder embeddings, candidate graph, and the mode's pruned structure."""
     e = encode_structure(a_hat, x, params_s)
     cand = build_candidates(e, cfg.k, cfg.metric)
-    r = cfg.prune.reduction
-    if cfg.mode == "ingsl":
+    r, sim = cfg.prune.reduction, cand.sparse.values
+    if scorer is not None:
         src, dst = cand.pairs()
         w = diversity_scores(e, src, dst, scorer)
-        if cfg.prune.eps_thr is not None:
-            eps = cfg.prune.eps_thr
-        else:
-            eps = select_threshold(cand.sparse.values.data * w.data, r)
-        return e, cand, prune(cand, w, eps)
-    if cfg.mode == "similarity_only":
-        if r == 0.0:
-            return e, cand, cand.sparse
-        eps = select_threshold(cand.sparse.values.data, r)
-        kept = np.flatnonzero(cand.sparse.values.data >= eps)
-    elif cfg.mode == "random_prune":
-        m = cand.sparse.nnz
-        rng = np.random.default_rng([cfg.prune.seed, 2, epoch])
-        kept = np.sort(rng.choice(m, size=keep_count(m, r), replace=False))
-    else:  # no_reduction
+        return e, cand, prune(cand, w, select_threshold(sim.data * w.data, r))
+    rng = np.random.default_rng([cfg.prune.seed, 2, epoch])
+    kept = MODE_TABLE[cfg.mode][0](sim.data, r, rng)
+    if kept is None:
         return e, cand, cand.sparse
-    return e, cand, _subset_csr(cand.sparse, kept, T.take(cand.sparse.values, kept))
+    return e, cand, _subset_csr(cand.sparse, kept, T.take(sim, kept))
 
 
 def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
-    """Jointly train the encoder, task GNN, and (for mode "ingsl") the
+    """Jointly train the encoder, task GNN, and (for the learned rule) the
     diversity scorer; returns the parameters and pruned structure from the
     epoch with the best validation accuracy.
 
     Deterministic given (config, seed). Baseline modes reuse the same loop
-    with similarity-quantile, uniform-random, or no pruning in place of the
-    learned rule.
+    with their ``MODE_TABLE`` keep rule in place of the learned rule.
     """
     seed = cfg.prune.seed
     rng = np.random.default_rng([seed, 0])
     params_t = make_gcn_params(rng, [g.d, cfg.hidden, cfg.hidden], g.classes)
     params_s = make_gcn_params(rng, [g.d, cfg.hidden, cfg.hidden], None)
-    scorer = None
     named = {**params_t.named("gnn_t"), **params_s.named("gnn_s")}
-    if cfg.mode == "ingsl":
-        scorer = make_scorer(cfg.scorer_kind, cfg.hidden, rng, cfg.scorer_init)
-        if cfg.train_scorer:
-            named.update(scorer.parameters())
-        else:
-            for p in scorer.parameters().values():
-                p.requires_grad = False
+    keep, redraws = MODE_TABLE[cfg.mode]
+    scorer = None
+    if keep is None:
+        scorer = make_scorer(cfg.scorer_kind, cfg.hidden, rng)
+        named.update(scorer.parameters())
     state = TrainState(dict(named))
-    all_tensors = dict(named)
-    if scorer is not None:
-        all_tensors.update(scorer.parameters())
 
     a_hat = normalize_adjacency(g)
     x = T.constant(g.features)
     batch_size = cfg.prune.batch_size or min(g.n, 256)
     beta = cfg.prune.beta
 
-    redraws = cfg.mode == "random_prune"  # structure keyed by the epoch
     best, since_best = None, 0
 
     def forward(epoch: int) -> tuple:
@@ -425,15 +418,15 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
             "epoch": epoch,
             "pruned": _detach_sparse(s),
             "embeddings": e.data.copy(),
-            "params": {n: p.data.copy() for n, p in all_tensors.items()},
+            "params": {n: p.data.copy() for n, p in named.items()},
             "fused_nnz": adj.nnz,
             "candidates": cand.sparse.nnz,
         }
         since_best = 0
         return False
 
-    # Each taped forward runs on the previous epoch's parameters, so outside
-    # random_prune it also evaluates that epoch, and its failures name it.
+    # Each taped forward runs on the previous epoch's parameters, so unless the
+    # mode redraws it also evaluates that epoch, and its failures name it.
     epochs_run = at = 0
     try:
         for epoch in range(cfg.epochs):
@@ -449,7 +442,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                     rows, cols = s_t.directed_pairs()
                     reg = feature_smoothness(s_t.values, rows, cols, g.features)
                     loss = gsl_objective(loss, reg, cfg.lam)
-                if cfg.mode == "ingsl" and beta > 0:
+                if scorer is not None and beta > 0:
                     adj_full = fuse_with_original(g, cand, cfg.residual_weight)
                     # Representations only: the contrastive term never reads logits.
                     z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
@@ -472,7 +465,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                 for name, p in state.params.items()
             }
             adam_step(state, grads, cfg.lr)
-            T.zero_grads(all_tensors.values())
+            T.zero_grads(named.values())
             epochs_run = epoch + 1
             if redraws and evaluate(epoch, forward(epoch)):
                 break
@@ -483,7 +476,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
         raise NumericError(f"training diverged at epoch {at}: {exc}") from exc
 
     for name, data in best["params"].items():
-        all_tensors[name].data = data.copy()
+        named[name].data = data.copy()
     additional, undirected = _edge_stats(best["pruned"], g)
     report = RunReport(
         mode=cfg.mode,
@@ -500,5 +493,5 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
         fused_nnz=best["fused_nnz"],
     )
     return TrainResult(
-        params=all_tensors, pruned=best["pruned"], embeddings=best["embeddings"], report=report
+        params=named, pruned=best["pruned"], embeddings=best["embeddings"], report=report
     )

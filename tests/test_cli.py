@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -13,12 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingsl
+from ingsl import cli
 from ingsl import tensor as T
 from ingsl.cli import default_battery, main, parse_config, run_gradcheck_battery
 from ingsl.errors import ConfigError
 from ingsl.graph import Graph, generate_sbm, load_bundle, save_bundle
 from ingsl.gsl import METRICS
 from ingsl.pruning import MODES, SCORER_KINDS, PruneConfig, TrainConfig, train_ingsl
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def strip_wall_time(obj):
@@ -141,6 +146,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"dataset": {"sbm": SBM_SPEC}, "seeds": []})
 
+    def test_documented_and_scripted_configs_parse(self):
+        # A schema change must not silently break the README's example or
+        # the configs the benchmark script writes.
+        blocks = (ROOT / "README.md").read_text().split("```json\n")[1:]
+        assert blocks
+        for block in blocks:
+            parse_config(json.loads(block.split("```", 1)[0]))
+        path = ROOT / "scripts" / "run_sbm_benchmark.py"
+        spec = importlib.util.spec_from_file_location("run_sbm_benchmark", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.RUNS
+        for _, cfg in script.RUNS:
+            parse_config(cfg)
+
     def test_train_config_carries_every_shared_field(self):
         cfg = parse_config(
             base_config(**{"lambda": 0.25, "residual_weight": 0.5, "batch_size": 7, "lr": 0.02})
@@ -251,7 +271,7 @@ class TestTrainCommand:
         assert (a / "cells.csv").read_text() == (b / "cells.csv").read_text()
 
     def test_thread_parallelism_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, seeds=[0, 1], modes=["similarity_only"])
+        cfg = write_config(tmp_path, seeds=[0, 1], modes=list(MODES))
         a, b = tmp_path / "serial", tmp_path / "parallel"
         old = os.environ.get("INGSL_THREADS")
         try:
@@ -305,6 +325,39 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
         one_error_line(capsys, "seed must be >= 0")
+
+    @pytest.mark.parametrize("command", ["verify-lemmas", "gradcheck"])
+    @pytest.mark.parametrize(
+        "seed,trials,text", [("-1", "1", "--seed must be >= 0"), ("0", "0", "--trials must be >= 1")]
+    )
+    def test_bad_seed_or_trials_names_the_flag(self, capsys, command, seed, trials, text):
+        assert main([command, "--seed", seed, "--trials", trials]) == 1
+        one_error_line(capsys, text)
+
+    @pytest.mark.parametrize(
+        "k_values,built",
+        [("", False), (",", False), ("2,x", False), ("2.5", False), ("0,2", False),
+         ("2,24", True), ("2,500", True)],
+    )
+    def test_bad_k_values_fail_before_training(
+        self, tmp_path, capsys, monkeypatch, k_values, built
+    ):
+        # Empty, non-integer and k < 1 lists fail before the dataset is
+        # built; k >= n (24 here) once it is, and never after training.
+        builds = []
+        real_resolve = cli.resolve_dataset
+        monkeypatch.setattr(cli, "resolve_dataset", lambda c: builds.append(c) or real_resolve(c))
+
+        def no_training(*args):
+            raise AssertionError("train_ingsl was called")
+
+        monkeypatch.setattr(cli, "train_ingsl", no_training)
+        cfg = write_config(tmp_path, seeds=[0])
+        argv = ["diagnose-redundancy", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                "--k-values", k_values]
+        assert main(argv) == 1
+        one_error_line(capsys, "--k-values")
+        assert bool(builds) == built
 
     def test_unknown_key_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, bogus=1)

@@ -108,7 +108,7 @@ class TestPrune:
 
     def test_zero_product_at_zero_threshold(self):
         sparse = SparseAdjacency(np.array([0, 1]), np.array([1]), T.constant([0.0]), 2)
-        cand = CandidateGraph(sparse=sparse, k=1, source_embeddings=T.constant(np.zeros((2, 1))))
+        cand = CandidateGraph(sparse=sparse)
         out = prune(cand, T.constant([5.0]), 0.0)
         assert out.nnz == 1 and out.values.data[0] == 0.5
 
@@ -151,7 +151,7 @@ class TestPrune:
         vals = T.parameter(rng.uniform(0.2, 1.0, n * k))
         cols = np.sort(np.array([[(i + 1) % n, (i + 2) % n] for i in range(n)]), axis=1)
         sparse = SparseAdjacency(np.arange(n + 1, dtype=np.int64) * k, cols.reshape(-1), vals, n)
-        cand = CandidateGraph(sparse=sparse, k=k, source_embeddings=T.constant(np.zeros((n, 1))))
+        cand = CandidateGraph(sparse=sparse)
         w = T.parameter(rng.uniform(0.2, 1.0, n * k))
         x = vals.data * w.data
         eps = float(np.median(x))
@@ -448,9 +448,11 @@ class TestTraining:
 
     def test_all_modes_complete(self):
         g = self.small_graph()
-        for mode in ("ingsl", "similarity_only", "random_prune", "no_reduction"):
+        for mode in MODES:
             res = train_ingsl(g, self.config(mode=mode))
             rep = res.report
+            has_scorer = any(name.startswith("scorer.") for name in res.params)
+            assert has_scorer == (mode == "ingsl"), mode
             assert 0.0 <= rep.test_acc <= 1.0
             assert rep.edges_candidate == g.n * 4
             if mode == "no_reduction":
@@ -481,18 +483,15 @@ class TestTraining:
             res.params["gnn_t.layer0"].data, base.params["gnn_t.layer0"].data
         )
 
-    def test_zero_reduction_zero_beta_matches_reweighted_baseline(self):
+    def test_zero_reduction_zero_beta_matches_reweighted_baseline(self, monkeypatch):
         # Independent re-orchestration: keep-all pruning with a frozen
         # identity scorer must reproduce the training trajectory of the base
-        # loop with sigmoid(S_ij * <E_i, E_j>) edge weights, bit for bit.
+        # loop with sigmoid(S_ij * <E_i, E_j>) edge weights, bit for bit. A
+        # constant weight gets zero gradient, so Adam leaves it unchanged.
+        identity = DiversityScorer("bilinear", bilinear_weight=T.constant(np.eye(8)))
+        monkeypatch.setattr(pruning, "make_scorer", lambda kind, h, rng: identity)
         g = self.small_graph()
-        cfg = self.config(
-            prune_kw={"reduction": 0.0, "beta": 0.0},
-            scorer_init="identity",
-            train_scorer=False,
-            epochs=4,
-            patience=4,
-        )
+        cfg = self.config(prune_kw={"reduction": 0.0, "beta": 0.0}, epochs=4, patience=4)
         res = train_ingsl(g, cfg)
 
         seed = 1
@@ -519,6 +518,7 @@ class TestTraining:
             T.zero_grads(named.values())
         for name, p in named.items():
             assert np.array_equal(p.data, res.params[name].data), name
+        assert np.array_equal(res.params["scorer.bilinear"].data, np.eye(8))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_epoch(self):
