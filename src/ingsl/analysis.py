@@ -199,27 +199,32 @@ def lemma2_check(
     )
 
 
+def nonzero_rows(data: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows with L2 norm >= 1e-12, the rows that have a
+    direction; ``tensor.row_l2_normalize_or_zero`` makes the same cut."""
+    return np.linalg.norm(data, axis=1) >= 1e-12
+
+
 def redundancy_profile(e, k_values) -> list[tuple[int, float]]:
     """Mean over nodes of the average pairwise cosine among each node's top-k
     most cosine-similar other nodes, for each requested k.
 
-    Selection uses cosine so the profile is invariant under row-wise positive
-    rescaling. Nodes need >= 2 neighbors to contribute; for k < 2 the entry
-    is NaN.
+    Rows with norm below 1e-12 have no cosine and are left out, both as
+    nodes and as neighbors. Selection uses cosine so the profile is invariant
+    under row-wise positive rescaling. Nodes need >= 2 neighbors to
+    contribute; for k < 2 the entry is NaN.
     """
     data = e.data if isinstance(e, T.Tensor) else np.asarray(e, dtype=np.float64)
     if data.ndim != 2:
         raise ConfigError("embeddings must be 2-D")
+    data = data[nonzero_rows(data)]
     n = data.shape[0]
     k_values = [int(k) for k in k_values]
     if any(k < 1 for k in k_values):
         raise ConfigError("k values must be >= 1")
     if max(k_values) >= n:
-        raise ConfigError(f"max k must be < n = {n}")
-    norms = np.linalg.norm(data, axis=1)
-    if (norms < 1e-12).any():
-        raise MetricError("profile undefined for zero rows")
-    unit = data / norms[:, None]
+        raise ConfigError(f"max k must be < {n}, the number of non-zero rows")
+    unit = data / np.linalg.norm(data, axis=1)[:, None]
     sim = unit @ unit.T
     np.fill_diagonal(sim, -np.inf)
     order = np.argsort(-sim, axis=1, kind="stable")

@@ -12,6 +12,8 @@ gradient check failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import os
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .analysis import lemma1_check, lemma2_check, redundancy_profile
+from .analysis import lemma1_check, lemma2_check, nonzero_rows, redundancy_profile
 from .errors import ConfigError, NumericError
 from .gnn import flops_estimate, gcn_forward, make_gcn_params, task_loss
 from .graph import (
@@ -245,6 +247,29 @@ def _thread_count() -> int:
     return max(1, threads)
 
 
+@functools.cache
+def _blas_thread_setter():
+    """numpy's ``openblas_set_num_threads_local``, or None if numpy's BLAS is
+    not an OpenBLAS (0.3.27 or later) that exports it. dlsym on numpy's
+    extension module also searches the libraries it links, so this finds
+    the OpenBLAS numpy calls, whatever its file is named."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for name in ("openblas_set_num_threads_local", "scipy_openblas_set_num_threads_local64_"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = ctypes.c_int
+            return setter
+    return None
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every (mode, r, seed) cell and assemble the report dict."""
     base = resolve_dataset(cfg)
@@ -266,8 +291,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             with np.errstate(**err):
                 return run_cell(cfg, base, *job)
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(cell, jobs))
+        # Each pool thread runs BLAS at one thread: at these sizes a second
+        # BLAS thread per cell buys nothing and oversubscribes the cores.
+        # The setter is meant to be thread-local, but numpy's OpenBLAS 0.3.31
+        # wheel applies it process-wide, so the caller pins too and restores
+        # its own count afterwards.
+        set_blas = _blas_thread_setter()
+        caller_threads = None if set_blas is None else set_blas(1)
+        try:
+            with ThreadPoolExecutor(threads, initializer=set_blas, initargs=(1,)) as pool:
+                cells = list(pool.map(cell, jobs))
+        finally:
+            if set_blas is not None:
+                set_blas(caller_threads)
 
     aggregates: dict[str, dict] = {}
     for mode in cfg.modes:
@@ -601,6 +637,14 @@ def cmd_diagnose_redundancy(cfg: ExperimentConfig, k_values: list[int], out: Pat
     if max(k_values) >= base.n:
         raise ConfigError(f"--k-values must be < n = {base.n}, got {max(k_values)}")
     result = train_ingsl(base, cfg.train_config("no_reduction", 0.0, cfg.seeds[0]))
+    kept = int(nonzero_rows(result.embeddings).sum())
+    if kept < base.n:
+        print(f"left out {base.n - kept} of {base.n} embedding rows with zero norm")
+    if max(k_values) >= kept:
+        raise ConfigError(
+            f"--k-values must be < {kept}, the number of non-zero embedding rows, "
+            f"got {max(k_values)}"
+        )
     profile = redundancy_profile(result.embeddings, k_values)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,mean_pairwise_cosine"] + [f"{k},{v!r}" for k, v in profile]

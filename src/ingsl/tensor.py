@@ -509,7 +509,8 @@ def segment_sum(x: Tensor, seg_ids, num_segments: int) -> Tensor:
 def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
     """CSR sparse times dense: out[i] = sum_e values[e] * dense[col[e]].
 
-    Gradient flows to both the edge values and the dense operand. The kernel
+    Gradient flows to each of the edge values and the dense operand that
+    requires it; the other's is not computed. The kernel
     accumulates in edge order, matching the sequential reference exactly.
     """
     offs = np.asarray(row_offsets, dtype=np.int64)
@@ -528,8 +529,9 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
     out = _scatter_add(rows, dd, n_rows, cols, vd)
 
     def bwd(g):
-        gd = _scatter_add(cols, g, dd.shape[0], rows, vd)
-        return (_edge_dot(g, dd, rows, cols), gd)
+        gv = _edge_dot(g, dd, rows, cols) if values.requires_grad else None
+        gd = _scatter_add(cols, g, dd.shape[0], rows, vd) if dense.requires_grad else None
+        return (gv, gd)
 
     return _out(out, (values, dense), bwd, "spmm")
 

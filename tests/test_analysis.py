@@ -211,6 +211,20 @@ class TestRedundancyProfile:
         with pytest.raises(ConfigError):
             redundancy_profile(np.eye(4), [4])
 
+    def test_zero_rows_left_out(self):
+        # A zero row is neither a node nor anyone's neighbor: the profile is
+        # the profile over the other rows, exactly.
+        rng = np.random.default_rng(4)
+        e = rng.normal(size=(8, 3))
+        with_zeros = np.insert(e, [0, 5], 0.0, axis=0)
+        assert redundancy_profile(with_zeros, [2, 3, 7]) == redundancy_profile(e, [2, 3, 7])
+
+    def test_k_bound_counts_non_zero_rows(self):
+        e = np.vstack([np.eye(4), np.zeros((2, 4))])
+        assert len(redundancy_profile(e, [3])) == 1
+        with pytest.raises(ConfigError, match="non-zero rows"):
+            redundancy_profile(e, [4])
+
 
 class TestComplexityEstimate:
     def test_formula_collapse(self):

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import importlib.util
 import io
 import json
@@ -42,6 +43,25 @@ SBM_SPEC = {
     "feature_noise": 0.5,
     "seed": 5,
 }
+
+
+def blas_thread_functions():
+    """numpy's OpenBLAS thread-count setter, as the cell pool finds it, and
+    the getter from the same library; skips when numpy's BLAS has no setter."""
+    set_blas = cli._blas_thread_setter()
+    if set_blas is None:
+        pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+        get_blas = getattr(lib, name, None)
+        if get_blas is not None:
+            get_blas.restype = ctypes.c_int
+            return set_blas, get_blas
+    pytest.fail("numpy's OpenBLAS exports the setter but no openblas_get_num_threads")
 
 
 def base_config(**overrides):
@@ -270,23 +290,47 @@ class TestTrainCommand:
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
         assert (a / "cells.csv").read_text() == (b / "cells.csv").read_text()
 
-    def test_thread_parallelism_matches_serial(self, tmp_path):
+    def test_thread_parallelism_matches_serial(self, tmp_path, monkeypatch):
+        # Serial, a pool whose workers run BLAS at one thread, and a pool
+        # left at the default BLAS threads (as on a BLAS with no setter).
         cfg = write_config(tmp_path, seeds=[0, 1], modes=list(MODES))
-        a, b = tmp_path / "serial", tmp_path / "parallel"
-        old = os.environ.get("INGSL_THREADS")
+        outs = {}
+        for label, threads, setter in (
+            ("serial", "1", cli._blas_thread_setter),
+            ("pinned", "2", cli._blas_thread_setter),
+            ("unpinned", "2", lambda: None),
+        ):
+            monkeypatch.setenv("INGSL_THREADS", threads)
+            monkeypatch.setattr(cli, "_blas_thread_setter", setter)
+            out = outs[label] = tmp_path / label
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        reports = {
+            label: json.dumps(strip_wall_time(json.loads((out / "report.json").read_text())),
+                              sort_keys=True)
+            for label, out in outs.items()
+        }
+        assert reports["pinned"] == reports["serial"] == reports["unpinned"]
+        cells = {(out / "cells.csv").read_text() for out in outs.values()}
+        assert len(cells) == 1
+
+    def test_pool_pins_blas_and_restores_the_caller(self, monkeypatch):
+        set_blas, get_blas = blas_thread_functions()
+        seen = []
+        real_run_cell = cli.run_cell
+
+        def run_cell(*args):
+            seen.append(get_blas())
+            return real_run_cell(*args)
+
+        monkeypatch.setattr(cli, "run_cell", run_cell)
+        monkeypatch.setenv("INGSL_THREADS", "2")
+        prev = set_blas(2)
         try:
-            os.environ["INGSL_THREADS"] = "1"
-            assert main(["train", "--config", str(cfg), "--out", str(a)]) == 0
-            os.environ["INGSL_THREADS"] = "2"
-            assert main(["train", "--config", str(cfg), "--out", str(b)]) == 0
+            cli.run_experiment(parse_config(base_config(seeds=[0, 1], epochs=2)))
+            assert seen == [1, 1, 1, 1]
+            assert get_blas() == 2
         finally:
-            if old is None:
-                os.environ.pop("INGSL_THREADS", None)
-            else:
-                os.environ["INGSL_THREADS"] = old
-        ra = strip_wall_time(json.loads((a / "report.json").read_text()))
-        rb = strip_wall_time(json.loads((b / "report.json").read_text()))
-        assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+            set_blas(prev)
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, seeds=[0, 1, 2], modes=["random_prune"])
@@ -600,6 +644,37 @@ class TestDiagnoseRedundancy:
         assert len(lines) == 3
         for line in lines[1:]:
             assert abs(float(line.split(",")[1]) - 1.0) < 1e-9
+
+    def test_diagnose_redundancy_leaves_out_zero_rows(self, tmp_path, capsys):
+        # On the benchmark SBM, seed 0's encoder ends with all-zero rows; the
+        # profile leaves them out and says how many.
+        sbm = {"block_sizes": [50] * 4, "p_in": 0.1, "p_out": 0.01, "feature_dim": 8,
+               "feature_noise": 1.0, "seed": 7}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"dataset": {"sbm": sbm}, "k": 30, "lambda": 0.3, "metric": "cosine"}
+        ))
+        out = tmp_path / "diag"
+        argv = ["diagnose-redundancy", "--config", str(cfg), "--out", str(out), "--seed", "0"]
+        assert main(argv) == 0
+        assert "embedding rows with zero norm" in capsys.readouterr().out
+        lines = (out / "redundancy.csv").read_text().splitlines()
+        assert lines[0] == "k,mean_pairwise_cosine" and len(lines) == 5
+
+    def test_diagnose_redundancy_k_above_non_zero_rows(self, tmp_path, capsys, monkeypatch):
+        real_train = cli.train_ingsl
+
+        def train_with_zero_rows(*args):
+            result = real_train(*args)
+            result.embeddings[4:] = 0.0
+            return result
+
+        monkeypatch.setattr(cli, "train_ingsl", train_with_zero_rows)
+        cfg = write_config(tmp_path, seeds=[0], epochs=2)
+        argv = ["diagnose-redundancy", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                "--k-values", "2,4"]
+        assert main(argv) == 1
+        one_error_line(capsys, "--k-values")
 
 
 BUNDLE_FILES = ["edges.tsv", "features.csv", "labels.csv", "masks.csv"]

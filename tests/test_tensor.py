@@ -283,6 +283,37 @@ class TestStructureOps:
 
         assert T.gradient_check(f, [vals, dense]) < 1e-4
 
+    @pytest.mark.parametrize("learn_values", [True, False])
+    def test_spmm_backward_skips_constant_operand(self, monkeypatch, learn_values):
+        # Only the operand that needs a gradient gets one computed, and its
+        # bits are those of the run where both operands are learned.
+        rng = np.random.default_rng(7)
+        offs = np.array([0, 2, 4, 6])
+        cols = np.array([1, 2, 0, 2, 0, 1])
+        vals0, dense0 = rng.uniform(0.1, 1.0, 6), rng.normal(size=(3, 2))
+        g = T.constant(rng.normal(size=(3, 2)))
+
+        def grads(learn_v, learn_d, patch=False):
+            v = T.parameter(vals0) if learn_v else T.constant(vals0)
+            d = T.parameter(dense0) if learn_d else T.constant(dense0)
+            with T.Tape() as tape:
+                loss = T.sum_all(T.mul(T.spmm(offs, cols, v, d), g))
+                if patch:
+                    for name in ("_edge_dot", "_scatter_add"):
+                        real = getattr(T, name)
+                        monkeypatch.setattr(
+                            T, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a)
+                        )
+                T.backward(loss, tape)
+            return v.grad, d.grad
+
+        calls = []
+        both = grads(True, True)
+        got = grads(learn_values, not learn_values, patch=True)
+        assert calls == (["_edge_dot"] if learn_values else ["_scatter_add"])
+        i = 0 if learn_values else 1
+        assert same_bits(got[i], both[i]) and got[1 - i] is None
+
     def test_segment_sum(self):
         x = T.constant([1.0, 2.0, 3.0, 4.0])
         out = T.segment_sum(x, [0, 1, 0, 2], 3)
