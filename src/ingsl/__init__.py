@@ -51,7 +51,6 @@ from .gsl import (
 from .pruning import (
     KEEP_ALL,
     DiversityScorer,
-    PruneConfig,
     TrainConfig,
     TrainResult,
     diversity_scores,

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -30,7 +30,7 @@ from . import __version__
 from . import tensor as T
 from .analysis import lemma1_check, lemma2_check, nonzero_rows, redundancy_profile
 from .errors import ConfigError, NumericError
-from .gnn import flops_estimate, gcn_forward, make_gcn_params, task_loss
+from .gnn import gcn_forward, make_gcn_params, task_loss
 from .graph import (
     Graph,
     NOISE_UPPER,
@@ -45,7 +45,6 @@ from .graph import (
 )
 from .gsl import CandidateGraph, build_candidates
 from .pruning import (
-    PruneConfig,
     TrainConfig,
     diversity_scores,
     make_scorer,
@@ -68,60 +67,47 @@ _NOISE_SPEC = dict.fromkeys(NOISE_UPPER, float)
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: the dataset, the (mode, r, seed) grid and the training
-    settings. The fields are the config file's schema: each field's JSON key
-    is its name (or ``metadata["key"]``), its annotation is the JSON type and
-    its default applies when the key is absent. A field named like a
-    ``TrainConfig`` or ``PruneConfig`` field is passed on to it unchanged."""
+    """One experiment: the dataset, the (mode, r, seed) grid and, in
+    ``train``, the training settings every cell shares. The config file's
+    keys are the grid fields here and the ``TrainConfig`` fields other than
+    a cell's own ``mode``, ``reduction`` and ``seed``: each key is the field's
+    name (or ``metadata["key"]``), its annotation is the JSON type and its
+    default applies when the key is absent."""
 
     dataset: dict
-    k: int = 30
     reduction_levels: list[float] = field(default_factory=lambda: [0.5])
-    beta: float = 0.5
-    lam: float = field(default=0.0, metadata={"key": "lambda"})
-    scorer_kind: str = "bilinear"
-    lr: float = 1e-2
-    epochs: int = 300
-    patience: int = 50
     seeds: list[int] = field(default_factory=lambda: [0])
     modes: list[str] = field(default_factory=lambda: ["ingsl"])
     noise: dict | None = None
-    batch_size: int | None = None
-    residual_weight: float = 1.0
-    hidden: int = 128
-    metric: str = "inner"
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         for name in ("seeds", "reduction_levels", "modes"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
-        # Range rules live in TrainConfig/PruneConfig; building every cell's
-        # config here makes a bad value fail before any dataset is built.
+        # Range rules live in TrainConfig; building every cell's config here
+        # makes a bad value fail before any dataset is built.
         for mode in self.modes:
             for r in self.reduction_levels:
                 for seed in self.seeds:
                     self.train_config(mode, r, seed)
 
     def train_config(self, mode: str, r: float, seed: int) -> TrainConfig:
-        return TrainConfig(
-            prune=PruneConfig(reduction=r, seed=seed, **_shared(self, PruneConfig)),
-            mode=mode,
-            **_shared(self, TrainConfig),
-        )
+        return replace(self.train, mode=mode, reduction=r, seed=seed)
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, f.name) for key, f in _FIELDS.items()}
+        grid = {name: getattr(self, name) for name in _GRID}
+        return {**grid, **{key: getattr(self.train, f.name) for key, f in _TRAIN.items()}}
 
 
-def _shared(cfg: ExperimentConfig, cls) -> dict:
-    """The fields of ``cfg`` that dataclass ``cls`` has too, by name."""
-    names = {f.name for f in fields(cfg)}
-    return {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in names}
-
-
-_FIELDS = {f.metadata.get("key", f.name): f for f in fields(ExperimentConfig)}
-_TYPES = get_type_hints(ExperimentConfig)
-_SPEC = {key: _TYPES[f.name] for key, f in _FIELDS.items()}
+_GRID = {name: hint for name, hint in get_type_hints(ExperimentConfig).items() if name != "train"}
+_TRAIN = {
+    f.metadata.get("key", f.name): f
+    for f in fields(TrainConfig)
+    if f.name not in ("mode", "reduction", "seed")
+}
+_TRAIN_TYPES = get_type_hints(TrainConfig)
+_SPEC = {**_GRID, **{key: _TRAIN_TYPES[f.name] for key, f in _TRAIN.items()}}
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "a JSON object"}
 
 
@@ -177,7 +163,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if obj.get("noise") is not None:
         _check_object(obj["noise"], _NOISE_SPEC, "noise")
         check_noise_ratios(**obj["noise"])
-    return ExperimentConfig(**{_FIELDS[key].name: value for key, value in obj.items()})
+    train = TrainConfig(**{_TRAIN[key].name: v for key, v in obj.items() if key in _TRAIN})
+    return ExperimentConfig(**{key: v for key, v in obj.items() if key not in _TRAIN}, train=train)
 
 
 def _read_json(path):
@@ -220,22 +207,7 @@ def run_cell(cfg: ExperimentConfig, base: Graph, mode: str, r: float, seed: int)
     t0 = time.perf_counter()
     result = train_ingsl(g, cfg.train_config(mode, r, seed))
     wall = time.perf_counter() - t0
-    rep = result.report
-    return {
-        "mode": mode,
-        "r": r,
-        "seed": seed,
-        "test_acc": rep.test_acc,
-        "val_acc": rep.best_val_acc,
-        "best_epoch": rep.best_epoch,
-        "epochs_run": rep.epochs_run,
-        "edges_candidate": rep.edges_candidate,
-        "edges_final": rep.edges_final,
-        "edges_additional": rep.edges_additional,
-        "edge_multiple": rep.edge_multiple,
-        "flops": flops_estimate(rep.fused_nnz, [g.d, cfg.hidden, cfg.hidden], g.n),
-        "wall_time_s": wall,
-    }
+    return {**asdict(result.report), "wall_time_s": wall}
 
 
 def _thread_count() -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -195,27 +195,13 @@ def normalize_entries(
     return SparseAdjacency(row_offsets, u_dst, values, n)
 
 
-def normalize_adjacency(graph_or_entries, n: int | None = None) -> SparseAdjacency:
-    """Symmetrically normalized adjacency with self-loops.
-
-    Accepts a Graph (unit weights, both directions materialized) or an
-    iterable of directed ``(i, j, weight)`` entries with ``n`` given. For a
-    Graph the result is symmetric by construction.
-    """
-    if isinstance(graph_or_entries, Graph):
-        g = graph_or_entries
-        e = g.edges
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        w = T.constant(np.ones(src.shape[0]))
-        return normalize_entries(g.n, src, dst, w)
-    if n is None:
-        raise ConfigError("n is required when passing raw weighted entries")
-    entries = list(graph_or_entries)
-    src = np.array([e[0] for e in entries], dtype=np.int64)
-    dst = np.array([e[1] for e in entries], dtype=np.int64)
-    w = T.constant(np.array([e[2] for e in entries], dtype=np.float64))
-    return normalize_entries(n, src, dst, w)
+def normalize_adjacency(g: Graph) -> SparseAdjacency:
+    """Symmetrically normalized adjacency with self-loops of ``g``: unit
+    weights with both directions materialized, so symmetric by construction."""
+    e = g.edges
+    src = np.concatenate([e[:, 0], e[:, 1]])
+    dst = np.concatenate([e[:, 1], e[:, 0]])
+    return normalize_entries(g.n, src, dst, T.constant(np.ones(src.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +466,7 @@ def inject_structural_noise(
                 chosen.add(pair)
             added = sorted(chosen)
 
-    edges = canonical_edges(kept + added, g.n)
-    return Graph(
-        features=g.features.copy(),
-        labels=g.labels.copy(),
-        edges=edges,
-        train_mask=g.train_mask.copy(),
-        val_mask=g.val_mask.copy(),
-        test_mask=g.test_mask.copy(),
-        classes=g.classes,
-    )
+    return replace(g, edges=canonical_edges(kept + added, g.n))
 
 
 def mask_features(g: Graph, mask_ratio: float, seed: int) -> Graph:
@@ -502,12 +479,4 @@ def mask_features(g: Graph, mask_ratio: float, seed: int) -> Graph:
     if n_mask:
         idx = rng.choice(total, size=n_mask, replace=False)
         features.reshape(-1)[idx] = 0.0
-    return Graph(
-        features=features,
-        labels=g.labels.copy(),
-        edges=g.edges.copy(),
-        train_mask=g.train_mask.copy(),
-        val_mask=g.val_mask.copy(),
-        test_mask=g.test_mask.copy(),
-        classes=g.classes,
-    )
+    return replace(g, features=features)

@@ -27,6 +27,7 @@ from .gnn import (
     TrainState,
     accuracy,
     adam_step,
+    flops_estimate,
     gcn_forward,
     glorot,
     make_gcn_params,
@@ -195,32 +196,26 @@ def sample_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def mi_loss(z_tilde: T.Tensor, z: T.Tensor, batch, seed: int | None = None) -> T.Tensor:
+def mi_loss(z_tilde: T.Tensor, z: T.Tensor, batch) -> T.Tensor:
     """Softmax-contrastive estimate of shared information between the pruned-
     and full-graph representations (negated, so lower is better).
 
     Per anchor i the positive is cos(z_tilde_i, z_i); the denominator sums
-    exp(cosine) over the sampled node set plus the anchor's own positive, so
-    every per-anchor term is non-negative. ``batch`` is either an explicit
-    node-id set or an integer size drawn under ``seed``.
+    exp(cosine) over the sampled node-id set ``batch`` plus the anchor's own
+    positive, so every per-anchor term is non-negative.
     """
     n = z_tilde.shape[0]
     if z.shape != z_tilde.shape:
         raise ShapeError(f"representation shapes differ: {z_tilde.shape} vs {z.shape}")
-    if isinstance(batch, (int, np.integer)):
-        if seed is None:
-            raise ConfigError("a seed is required when batch is given as a size")
-        ids = sample_batch(n, int(batch), np.random.default_rng(seed))
-    else:
-        ids = np.asarray(batch, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ConfigError("batch must be a non-empty 1-D id set")
-        if ids.size > n:
-            raise ConfigError(f"batch size {ids.size} exceeds node count {n}")
-        if np.unique(ids).size != ids.size:
-            raise ConfigError("batch ids must be distinct")
-        if ids.min() < 0 or ids.max() >= n:
-            raise ConfigError(f"batch id outside [0, {n})")
+    ids = np.asarray(batch, dtype=np.int64)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ConfigError("batch must be a non-empty 1-D id set")
+    if ids.size > n:
+        raise ConfigError(f"batch size {ids.size} exceeds node count {n}")
+    if np.unique(ids).size != ids.size:
+        raise ConfigError("batch ids must be distinct")
+    if ids.min() < 0 or ids.max() >= n:
+        raise ConfigError(f"batch id outside [0, {n})")
 
     zt = T.row_l2_normalize(z_tilde)
     zn = T.row_l2_normalize(z)
@@ -246,13 +241,27 @@ def total_loss(l_gsl: T.Tensor, l_mi: T.Tensor, beta: float) -> T.Tensor:
 
 
 @dataclass
-class PruneConfig:
-    """Edge-reduction settings: level r, loss weight, negatives, seed."""
+class TrainConfig:
+    """Settings of one training run, and the one definition of each: the
+    annotation is its type, the default applies where a config leaves it
+    out and ``__post_init__`` holds its range. A config file's training keys
+    are these fields (by name, or ``metadata["key"]``) apart from the
+    cell's own ``mode``, ``reduction`` and ``seed``."""
 
+    mode: str = MODES[0]
     reduction: float = 0.5
-    beta: float = 0.5
-    batch_size: int | None = None  # None -> min(n, 256)
     seed: int = 0
+    k: int = 30
+    beta: float = 0.5
+    lam: float = field(default=0.0, metadata={"key": "lambda"})
+    scorer_kind: str = "bilinear"
+    lr: float = 1e-2
+    epochs: int = 300
+    patience: int = 50
+    batch_size: int | None = None  # None -> min(n, 256)
+    residual_weight: float = 1.0
+    hidden: int = 128
+    metric: str = "inner"
 
     def __post_init__(self):
         if not (0.0 <= self.reduction < 1.0):
@@ -263,25 +272,6 @@ class PruneConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass
-class TrainConfig:
-    """Full settings for one training run."""
-
-    prune: PruneConfig = field(default_factory=PruneConfig)
-    mode: str = MODES[0]
-    k: int = 30
-    hidden: int = 128
-    lr: float = 1e-2
-    epochs: int = 300
-    patience: int = 50
-    lam: float = 0.0
-    residual_weight: float = 1.0
-    scorer_kind: str = "bilinear"
-    metric: str = "inner"
-
-    def __post_init__(self):
         if self.mode not in MODE_TABLE:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.metric not in METRICS:
@@ -301,20 +291,21 @@ class TrainConfig:
 
 @dataclass
 class RunReport:
-    """Metrics of one run at its best-validation epoch."""
+    """Metrics of one run at its best-validation epoch, one field per key of
+    a report cell."""
 
     mode: str
-    reduction: float
+    r: float
     seed: int
+    test_acc: float
+    val_acc: float
     best_epoch: int
     epochs_run: int
-    best_val_acc: float
-    test_acc: float
     edges_candidate: int
     edges_final: int
     edges_additional: int
     edge_multiple: float
-    fused_nnz: int
+    flops: int  # gnn.flops_estimate of the fused graph the best epoch ran on
 
 
 @dataclass
@@ -356,12 +347,12 @@ def _structure_for_epoch(
     """Encoder embeddings, candidate graph, and the mode's pruned structure."""
     e = encode_structure(a_hat, x, params_s)
     cand = build_candidates(e, cfg.k, cfg.metric)
-    r, sim = cfg.prune.reduction, cand.sparse.values
+    r, sim = cfg.reduction, cand.sparse.values
     if scorer is not None:
         src, dst = cand.pairs()
         w = diversity_scores(e, src, dst, scorer)
         return e, cand, prune(cand, w, select_threshold(sim.data * w.data, r))
-    rng = np.random.default_rng([cfg.prune.seed, 2, epoch])
+    rng = np.random.default_rng([cfg.seed, 2, epoch])
     kept = MODE_TABLE[cfg.mode][0](sim.data, r, rng)
     if kept is None:
         return e, cand, cand.sparse
@@ -376,10 +367,10 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
     Deterministic given (config, seed). Baseline modes reuse the same loop
     with their ``MODE_TABLE`` keep rule in place of the learned rule.
     """
-    seed = cfg.prune.seed
-    rng = np.random.default_rng([seed, 0])
-    params_t = make_gcn_params(rng, [g.d, cfg.hidden, cfg.hidden], g.classes)
-    params_s = make_gcn_params(rng, [g.d, cfg.hidden, cfg.hidden], None)
+    rng = np.random.default_rng([cfg.seed, 0])
+    dims = [g.d, cfg.hidden, cfg.hidden]
+    params_t = make_gcn_params(rng, dims, g.classes)
+    params_s = make_gcn_params(rng, dims, None)
     named = {**params_t.named("gnn_t"), **params_s.named("gnn_s")}
     keep, redraws = MODE_TABLE[cfg.mode]
     scorer = None
@@ -390,8 +381,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
 
     a_hat = normalize_adjacency(g)
     x = T.constant(g.features)
-    batch_size = cfg.prune.batch_size or min(g.n, 256)
-    beta = cfg.prune.beta
+    batch_size = cfg.batch_size or min(g.n, 256)
 
     best, since_best = None, 0
 
@@ -442,7 +432,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                     rows, cols = s_t.directed_pairs()
                     reg = feature_smoothness(s_t.values, rows, cols, g.features)
                     loss = gsl_objective(loss, reg, cfg.lam)
-                if scorer is not None and beta > 0:
+                if scorer is not None and cfg.beta > 0:
                     adj_full = fuse_with_original(g, cand, cfg.residual_weight)
                     # Representations only: the contrastive term never reads logits.
                     z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
@@ -453,10 +443,10 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                         & (np.linalg.norm(z_full.data, axis=1) > 1e-9)
                     )
                     if good.size >= 2:
-                        rng_mi = np.random.default_rng([seed, 3, epoch])
+                        rng_mi = np.random.default_rng([cfg.seed, 3, epoch])
                         ids = sample_batch(good.size, min(batch_size, good.size), rng_mi)
                         mi = mi_loss(T.gather_rows(z_t, good), T.gather_rows(z_full, good), ids)
-                        loss = total_loss(loss, mi, beta)
+                        loss = total_loss(loss, mi, cfg.beta)
                 if not np.isfinite(loss.data):
                     raise NumericError("loss is not finite")
                 T.backward(loss, tape)
@@ -480,17 +470,17 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
     additional, undirected = _edge_stats(best["pruned"], g)
     report = RunReport(
         mode=cfg.mode,
-        reduction=cfg.prune.reduction,
-        seed=seed,
+        r=cfg.reduction,
+        seed=cfg.seed,
+        test_acc=best["test"],
+        val_acc=best["val"],
         best_epoch=best["epoch"],
         epochs_run=epochs_run,
-        best_val_acc=best["val"],
-        test_acc=best["test"],
         edges_candidate=best["candidates"],
         edges_final=best["pruned"].nnz,
         edges_additional=additional,
         edge_multiple=undirected / max(1, g.num_edges),
-        fused_nnz=best["fused_nnz"],
+        flops=flops_estimate(best["fused_nnz"], dims, g.n),
     )
     return TrainResult(
         params=named, pruned=best["pruned"], embeddings=best["embeddings"], report=report

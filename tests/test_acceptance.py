@@ -20,7 +20,6 @@ from ingsl.gnn import gcn_forward, make_gcn_params, task_loss
 from ingsl.graph import edge_homophily, generate_sbm, inject_structural_noise, load_bundle, normalize_adjacency
 from ingsl.gsl import build_candidates
 from ingsl.pruning import (
-    PruneConfig,
     TrainConfig,
     keep_count,
     mi_loss,
@@ -44,11 +43,7 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 
 
 def bench_config(mode: str, seed: int, r: float = 0.5) -> TrainConfig:
-    return TrainConfig(
-        prune=PruneConfig(reduction=r, beta=0.5, seed=seed),
-        mode=mode,
-        metric="cosine",
-    )
+    return TrainConfig(mode=mode, reduction=r, beta=0.5, seed=seed, metric="cosine")
 
 
 def test_criterion_01_similarity_floor_10k_trials():

@@ -21,7 +21,7 @@ from ingsl.cli import default_battery, main, parse_config, run_gradcheck_battery
 from ingsl.errors import ConfigError
 from ingsl.graph import Graph, generate_sbm, load_bundle, save_bundle
 from ingsl.gsl import METRICS
-from ingsl.pruning import MODES, SCORER_KINDS, PruneConfig, TrainConfig, train_ingsl
+from ingsl.pruning import MODES, SCORER_KINDS, TrainConfig, train_ingsl
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,7 +128,7 @@ def one_error_line(capsys, text):
 class TestConfigParsing:
     def test_defaults_fill_in(self):
         cfg = parse_config({"dataset": {"sbm": SBM_SPEC}})
-        assert cfg.k == 30 and cfg.lr == 1e-2 and cfg.hidden == 128
+        assert cfg.train.k == 30 and cfg.train.lr == 1e-2 and cfg.train.hidden == 128
         assert cfg.modes == ["ingsl"] and cfg.seeds == [0]
 
     def test_unknown_top_key_rejected(self):
@@ -186,10 +186,10 @@ class TestConfigParsing:
             base_config(**{"lambda": 0.25, "residual_weight": 0.5, "batch_size": 7, "lr": 0.02})
         )
         tc = cfg.train_config("no_reduction", 0.25, 9)
-        assert (tc.mode, tc.prune.reduction, tc.prune.seed) == ("no_reduction", 0.25, 9)
+        assert (tc.mode, tc.reduction, tc.seed) == ("no_reduction", 0.25, 9)
         assert (tc.lam, tc.residual_weight, tc.lr) == (0.25, 0.5, 0.02)
         assert (tc.k, tc.hidden, tc.epochs, tc.patience) == (5, 8, 12, 6)
-        assert (tc.prune.beta, tc.prune.batch_size) == (0.5, 7)
+        assert (tc.beta, tc.batch_size) == (0.5, 7)
         assert (tc.scorer_kind, tc.metric) == ("bilinear", "inner")
 
 
@@ -263,8 +263,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {"version", "config", "cells", "aggregates"}
+        # The keys come from dataclass fields; a new field must not slip in.
+        assert set(report["config"]) == set(TOP_KEYS) - {"mode"}
         assert len(report["cells"]) == 2 * 1 * 2  # modes x levels x seeds
         for cell in report["cells"]:
+            assert set(cell) == {
+                "mode", "r", "seed", "test_acc", "val_acc", "best_epoch", "epochs_run",
+                "edges_candidate", "edges_final", "edges_additional", "edge_multiple",
+                "flops", "wall_time_s",
+            }
             assert 0.0 <= cell["test_acc"] <= 1.0
             assert cell["edges_final"] <= cell["edges_candidate"]
         agg = report["aggregates"]["ingsl"]["0.5"]
@@ -603,8 +610,7 @@ class TestGradcheckCoverage:
             for metric in METRICS:
                 for scorer_kind in SCORER_KINDS:
                     tc = TrainConfig(
-                        prune=PruneConfig(reduction=0.5, seed=0),
-                        mode=mode, k=3, hidden=4, epochs=2, lam=0.1,
+                        mode=mode, reduction=0.5, seed=0, k=3, hidden=4, epochs=2, lam=0.1,
                         metric=metric, scorer_kind=scorer_kind,
                     )
                     train_ingsl(g, tc)

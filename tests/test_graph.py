@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingsl import tensor as T
 from ingsl.errors import CapacityError, ConfigError, MetricError, ParseError
 from ingsl.graph import (
     Graph,
@@ -12,6 +13,7 @@ from ingsl.graph import (
     load_bundle,
     mask_features,
     normalize_adjacency,
+    normalize_entries,
     save_bundle,
 )
 
@@ -220,14 +222,15 @@ class TestNormalizeOracle:
         dense = np.zeros((3, 3))
         dense[0, 1] = dense[1, 0] = 2.0
         dense[1, 2] = dense[2, 1] = 0.5
-        got = normalize_adjacency(entries, n=3).to_dense()
+        src, dst, w = (np.array(col) for col in zip(*entries))
+        got = normalize_entries(3, src, dst, T.constant(w)).to_dense()
         assert np.abs(got - dense_normalize(dense)).max() < 1e-12
 
     def test_negative_weight_rejected(self):
         from ingsl.errors import DomainError
 
         with pytest.raises(DomainError):
-            normalize_adjacency([(0, 1, -1.0)], n=2)
+            normalize_entries(2, np.array([0]), np.array([1]), T.constant([-1.0]))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(4, 16))

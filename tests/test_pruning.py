@@ -23,7 +23,6 @@ from ingsl.pruning import (
     KEEP_ALL,
     MODES,
     DiversityScorer,
-    PruneConfig,
     TrainConfig,
     diversity_scores,
     keep_count,
@@ -262,23 +261,12 @@ class TestMiLoss:
         got = float(mi_loss(T.constant(zt), T.constant(z), ids).data)
         assert abs(got - mi_naive(zt, z, ids)) < 1e-12
 
-    def test_batch_as_size_with_seed(self):
-        rng = np.random.default_rng(11)
-        zt, z = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
-        a = float(mi_loss(T.constant(zt), T.constant(z), 4, seed=7).data)
-        b = float(mi_loss(T.constant(zt), T.constant(z), 4, seed=7).data)
-        ids = sample_batch(8, 4, np.random.default_rng(7))
-        c = float(mi_loss(T.constant(zt), T.constant(z), ids).data)
-        assert a == b == c
-
     def test_batch_validation(self):
         z = T.constant(np.ones((3, 2)))
         with pytest.raises(ConfigError):
             mi_loss(z, z, np.arange(4))  # |B| > n
         with pytest.raises(ConfigError):
             mi_loss(z, z, np.array([0, 0]))
-        with pytest.raises(ConfigError):
-            mi_loss(z, z, 2)  # size without seed
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 10), st.integers(1, 10))
@@ -431,11 +419,12 @@ class TestTraining:
         return generate_sbm([8, 8], 0.5, 0.05, 4, 0.3, seed=5)
 
     def config(self, **kw):
-        prune_kw = dict(reduction=0.5, beta=0.5, seed=1)
-        prune_kw.update(kw.pop("prune_kw", {}))
-        base = dict(mode="ingsl", k=4, hidden=8, lr=1e-2, epochs=15, patience=8)
+        base = dict(
+            mode="ingsl", reduction=0.5, beta=0.5, seed=1,
+            k=4, hidden=8, lr=1e-2, epochs=15, patience=8,
+        )
         base.update(kw)
-        return TrainConfig(prune=PruneConfig(**prune_kw), **base)
+        return TrainConfig(**base)
 
     def test_deterministic_repeat(self):
         g = self.small_graph()
@@ -463,13 +452,13 @@ class TestTraining:
     def test_survivor_count_matches_reduction(self):
         g = self.small_graph()
         for r in (0.25, 0.5, 0.75):
-            res = train_ingsl(g, self.config(prune_kw={"reduction": r}))
+            res = train_ingsl(g, self.config(reduction=r))
             assert res.report.edges_final == keep_count(g.n * 4, r)
 
     def test_random_prune_single_survivor_completes(self):
         g = self.small_graph()
         m = g.n * 2
-        cfg = self.config(mode="random_prune", k=2, prune_kw={"reduction": 1 - 1 / m})
+        cfg = self.config(mode="random_prune", k=2, reduction=1 - 1 / m)
         rep = train_ingsl(g, cfg).report
         assert rep.edges_final == 1
 
@@ -491,7 +480,7 @@ class TestTraining:
         identity = DiversityScorer("bilinear", bilinear_weight=T.constant(np.eye(8)))
         monkeypatch.setattr(pruning, "make_scorer", lambda kind, h, rng: identity)
         g = self.small_graph()
-        cfg = self.config(prune_kw={"reduction": 0.0, "beta": 0.0}, epochs=4, patience=4)
+        cfg = self.config(reduction=0.0, beta=0.0, epochs=4, patience=4)
         res = train_ingsl(g, cfg)
 
         seed = 1
