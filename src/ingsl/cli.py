@@ -91,6 +91,14 @@ class ExperimentConfig:
             for r in self.reduction_levels:
                 for seed in self.seeds:
                     self.train_config(mode, r, seed)
+        # A repeated entry would run its cells twice. Levels are also the
+        # same when their report keys f"{r:g}" are, or when -0.0 meets 0.0.
+        for name in ("seeds", "reduction_levels", "modes"):
+            values = getattr(self, name)
+            for i, b in enumerate(values):
+                for a in values[:i]:
+                    if a == b or (name == "reduction_levels" and f"{a:g}" == f"{b:g}"):
+                        raise ConfigError(f"{name} repeats an entry: {a!r} and {b!r}")
 
     def train_config(self, mode: str, r: float, seed: int) -> TrainConfig:
         return replace(self.train, mode=mode, reduction=r, seed=seed)
@@ -341,7 +349,8 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     misroutes entries cannot cancel out. The table is built on every call, so
     it binds the tensor module's ops as they are then, wrapped or not.
     Instances avoid relu/threshold kinks by construction (margins > 1e-1 on
-    sampled coordinates, fixed seeds elsewhere).
+    sampled coordinates, fixed seeds elsewhere). spmm and sddmm each have an
+    instance on either side of the tensor module's dense-path size rule.
     """
     rng = np.random.default_rng([seed, 11])
     domains = {
@@ -352,6 +361,9 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     adj = _tiny_adjacency(np.random.default_rng([seed, 12]), 6)
     nsrc = np.array([0, 1, 2, 3, 1, 2, 3, 0])
     ndst = np.array([1, 0, 3, 2, 2, 1, 0, 3])
+    # 3 entries in a 12 x 10 CSR and 2 in a 10 x 8 sample (40 cells per
+    # entry) take the exact kernels; the instances above take the GEMMs.
+    soffsets = np.array([0, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3])
     rows = [
         ("add", T.add, [(3, 4), (3, 4)], "any"),
         ("sub", T.sub, [(3, 4), (3, 4)], "any"),
@@ -388,6 +400,8 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
             "positive",
         ),
         ("sddmm", lambda u, v: T.sddmm(nsrc, ndst[::-1], u, v), [(4, 3), (4, 3)], "any"),
+        ("spmm_sparse", lambda v, d: T.spmm(soffsets, [2, 7, 0], v, d), [(3,), (10, 2)], "any"),
+        ("sddmm_sparse", lambda u, v: T.sddmm([3, 9], [7, 0], u, v), [(10, 2), (8, 2)], "any"),
     ]
 
     def weighted(op, leaves):

@@ -141,7 +141,11 @@ def adam_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> Tra
 
 def flops_estimate(adj_edge_count: int, layer_dims: list[int], n: int) -> int:
     """Multiply-add count of the GCN layers, which compute (A H) W: per layer
-    2*m*d_{l-1} for the aggregation plus 2*n*d_{l-1}*d_l for the transform."""
+    2*m*d_{l-1} for the aggregation plus 2*n*d_{l-1}*d_l for the transform.
+
+    The aggregation term counts the model's sparse aggregation over the m
+    entries, whichever spmm kernel ran it; the dense path's GEMM performs
+    2*n*n*d_{l-1} for the same product."""
     total = 0
     for lo, hi in zip(layer_dims, layer_dims[1:]):
         total += 2 * adj_edge_count * lo + 2 * n * lo * hi

@@ -331,7 +331,8 @@ def rowwise_dot(a: Tensor, b: Tensor) -> Tensor:
 
 # Row width from which the prefix loop in _scatter_add beats one bincount
 # over (row, column) cells: the loop's cost is per step, the bincount's per
-# cell. Measured on 7000 and 30000 entries, the two tie at width 64.
+# cell. Measured on 7000 and 30000 entries, the two tie at width 64; at 9000
+# to 30000 entries x 128 columns the loop is 2.5-3x faster.
 _WIDE = 64
 
 
@@ -393,7 +394,7 @@ def _scatter_add(
 
 # Float64 elements per gathered block in _edge_dot. The two 256 KB blocks
 # stay in L2 cache; at 30000 edges x 128 columns on a Xeon with 2 MB of L2
-# per core, blocking took the call from 26 ms to 8.4 ms.
+# per core, blocking takes the call from about 11 ms to 5 ms.
 _EDGE_BLOCK = 1 << 15
 
 
@@ -487,12 +488,35 @@ def segment_sum(x: Tensor, seg_ids, num_segments: int) -> Tensor:
     return _out(out, (x,), lambda g: (g[sa],), "segment_sum")
 
 
+# spmm and sddmm run as BLAS GEMMs when their sparse operand has at most
+# this many cells per entry: a GEMM costs per cell, the exact kernels per
+# entry. At one BLAS thread the GEMMs win per call up to 40-50 cells per
+# entry (n 200 and 1000, widths 8 and 128), but a 1000-node operand is 8 MB
+# held on the tape, and GEMMs on the 1000-node benchmark graph (33-106 cells
+# per entry) raised its peak RSS from 84 to 100 MB. 30 puts every product
+# on the 200-node benchmark graph (6-27) on the GEMMs.
+_DENSE_CELLS = 30
+
+
+def _dense_pays(n_rows: int, n_cols: int, nnz: int) -> bool:
+    return n_rows * n_cols <= _DENSE_CELLS * nnz
+
+
+def _densify(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """n_rows x n_cols zero matrix with each vals[e] added into cell
+    (rows[e], cols[e]) in ascending e, as ``np.add.at`` would."""
+    flat = np.bincount(rows * n_cols + cols, weights=vals, minlength=n_rows * n_cols)
+    return flat.reshape(n_rows, n_cols)
+
+
 def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
     """CSR sparse times dense: out[i] = sum_e values[e] * dense[col[e]].
 
     Gradient flows to each of the edge values and the dense operand that
-    requires it; the other's is not computed. The kernel
-    accumulates in edge order, matching the sequential reference exactly.
+    requires it; the other's is not computed. When ``_dense_pays``, the
+    entries are summed into a dense matrix A and the products are GEMMs;
+    otherwise the kernel accumulates in edge order, matching the sequential
+    reference exactly.
     """
     offs = np.asarray(row_offsets, dtype=np.int64)
     cols = np.asarray(col_indices, dtype=np.int64)
@@ -507,21 +531,35 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
         raise DomainError("spmm: column index out of range")
     rows = np.repeat(np.arange(n_rows), np.diff(offs))
     vd, dd = values.data, dense.data
-    out = _scatter_add(rows, dd, n_rows, cols, vd)
+    n_cols = dd.shape[0]
+
+    if _dense_pays(n_rows, n_cols, cols.size):
+        a = _densify(rows, cols, vd, n_rows, n_cols)
+
+        def bwd(g):
+            gv = (g @ dd.T)[rows, cols] if values.requires_grad else None
+            gd = a.T @ g if dense.requires_grad else None
+            return (gv, gd)
+
+        return _out(a @ dd, (values, dense), bwd, "spmm")
 
     def bwd(g):
         gv = _edge_dot(g, dd, rows, cols) if values.requires_grad else None
-        gd = _scatter_add(cols, g, dd.shape[0], rows, vd) if dense.requires_grad else None
+        gd = _scatter_add(cols, g, n_cols, rows, vd) if dense.requires_grad else None
         return (gv, gd)
 
-    return _out(out, (values, dense), bwd, "spmm")
+    return _out(_scatter_add(rows, dd, n_rows, cols, vd), (values, dense), bwd, "spmm")
 
 
 def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
     """Sampled dense-dense product: out[e] = <u[rows[e]], v[cols[e]]>.
 
-    Scores the given edges without forming u v^T or copying endpoint rows
-    onto the tape. Gradient flows to both operands.
+    Gradient flows to both operands. When ``_dense_pays``,
+    the forward gathers from the GEMM u v^T and the backward sums the edge
+    gradients into a dense matrix and multiplies; ``sddmm(r, c, u, u)`` then
+    takes numpy's symmetric product, so edges (i, j) and (j, i) score the
+    same bits. Otherwise edges are scored one by one, without forming u v^T
+    or copying endpoint rows onto the tape.
     """
     if u.data.ndim != 2 or v.data.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ShapeError(f"sddmm: incompatible operands {u.shape} and {v.shape}")
@@ -530,10 +568,19 @@ def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
     if ra.shape != ca.shape:
         raise ShapeError("sddmm: row and column index lengths differ")
     ud, vd = u.data, v.data
+    n_u, n_v = ud.shape[0], vd.shape[0]
+
+    if _dense_pays(n_u, n_v, ra.size):
+
+        def bwd(g):
+            gm = _densify(ra, ca, g, n_u, n_v)
+            return (gm @ vd, gm.T @ ud)
+
+        return _out((ud @ vd.T)[ra, ca], (u, v), bwd, "sddmm")
 
     def bwd(g):
-        gu = _scatter_add(ra, vd, ud.shape[0], ca, g)
-        gv = _scatter_add(ca, ud, vd.shape[0], ra, g)
+        gu = _scatter_add(ra, vd, n_u, ca, g)
+        gv = _scatter_add(ca, ud, n_v, ra, g)
         return (gu, gv)
 
     return _out(_edge_dot(ud, vd, ra, ca), (u, v), bwd, "sddmm")

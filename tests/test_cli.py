@@ -116,6 +116,11 @@ MALFORMED = [
     ({"metric": "euclid"}, "metric must be one of"),
     ({"scorer_kind": "deep"}, "scorer_kind must be one of"),
     ({"modes": []}, "modes must be non-empty"),
+    ({"seeds": [0, 0]}, "seeds repeats an entry: 0 and 0"),
+    ({"modes": ["ingsl", "ingsl"]}, "modes repeats an entry: 'ingsl' and 'ingsl'"),
+    ({"reduction_levels": [0.5, 0.5]}, "reduction_levels repeats an entry: 0.5 and 0.5"),
+    ({"reduction_levels": [0.1234561, 0.1234564]}, "repeats an entry: 0.1234561 and 0.1234564"),
+    ({"reduction_levels": [0.0, -0.0]}, "reduction_levels repeats an entry: 0.0 and -0.0"),
 ]
 MALFORMED_IDS = [json.dumps(o)[:40] for o, _ in MALFORMED]
 
@@ -233,15 +238,17 @@ class TestConfigProperties:
         st.fixed_dictionaries(
             {
                 "k": st.integers(1, 10**6),
-                "reduction_levels": st.lists(st.floats(0.0, 0.999), min_size=1, max_size=3),
+                "reduction_levels": st.lists(
+                    st.floats(0.0, 0.999), min_size=1, max_size=3, unique_by=lambda r: f"{r:g}"
+                ),
                 "beta": st.floats(0.0, 1.0),
                 "lambda": st.floats(0.0, 1e3),
                 "scorer_kind": st.sampled_from(SCORER_KINDS),
                 "lr": st.floats(1e-5, 5e-2),
                 "epochs": st.integers(1, 10**4),
                 "patience": st.integers(1, 10**4),
-                "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3),
-                "modes": st.lists(st.sampled_from(MODES), min_size=1, max_size=4),
+                "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True),
+                "modes": st.lists(st.sampled_from(MODES), min_size=1, max_size=4, unique=True),
                 "noise": st.none() | st.just(NOISE),
                 "batch_size": st.none() | st.integers(1, 512),
                 "residual_weight": st.floats(0.0, 10.0),
@@ -451,6 +458,11 @@ class TestExitCodes:
         cfg = write_config(tmp_path, reduction_levels=[0.5])
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    def test_sweep_repeated_level_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, reduction_levels=[0.5, 0.5])
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, "reduction_levels repeats an entry")
+
     @pytest.mark.parametrize(
         "meta",
         ['{"n": null, "d": 3, "classes": 2}', "7", '{"n": 24, "d": 4.5, "classes": 2}'],
@@ -619,6 +631,24 @@ class TestGradcheckCoverage:
         for _, check in default_battery(0):
             check()
         assert trained <= seen, sorted(trained - seen)
+
+    def test_battery_checks_both_sparse_product_paths(self, monkeypatch):
+        # The shapes, not a switch, put one spmm and one sddmm instance on
+        # each side of the dense-path size rule.
+        calls = []
+        for name in ("_densify", "_scatter_add", "_edge_dot"):
+            real = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
+        kernels = {}
+        for name, check in default_battery(0):
+            if name.startswith(("spmm", "sddmm")):
+                calls.clear()
+                check()
+                kernels[name] = set(calls)
+        exact = {"_scatter_add", "_edge_dot"}
+        assert kernels == {
+            "spmm": {"_densify"}, "sddmm": {"_densify"}, "spmm_sparse": exact, "sddmm_sparse": exact,
+        }
 
 
 class TestDiagnoseRedundancy:

@@ -136,11 +136,27 @@ class TestBuildCandidates:
             assert not np.isfinite(values).all()
         else:
             assert np.array_equal(cand.sparse.col_indices, cols.reshape(-1))
-            assert np.array_equal(cand.sparse.values.data.view(np.int64), values.view(np.int64))
+            # The same products, summed in the GEMM's order or the oracle's.
+            assert np.all(np.abs(cand.sparse.values.data - values) <= 1e-12)
         # The selection alone, NaN similarities included.
         neg = -(base @ base.T)
         np.fill_diagonal(neg, np.inf)
         assert np.array_equal(np.sort(_first_k(neg, k), axis=1), cols)
+
+    @pytest.mark.parametrize("cells", [0, 1 << 60], ids=["exact", "dense"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_mutual_pairs_share_one_value(self, monkeypatch, cells, metric):
+        # select_threshold's tie rule relies on i->j and j->i scoring the
+        # same bits, on either sddmm path. At this width a multithreaded
+        # OpenBLAS GEMM of e with a copy of e is not symmetric; u @ u.T is.
+        monkeypatch.setattr(T, "_DENSE_CELLS", cells)
+        e = np.random.default_rng(9).normal(size=(60, 400))
+        cand = build_candidates(T.constant(e), 12, metric)
+        rows, cols = cand.pairs()
+        where = {(i, j): p for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+        ij, ji = np.array([(p, where[j, i]) for (i, j), p in where.items() if (j, i) in where]).T
+        values = cand.sparse.values.data.view(np.int64)
+        assert ij.size > 100 and np.array_equal(values[ij], values[ji])
 
     def test_gradient_flows_into_kept_entries(self):
         rng = np.random.default_rng(4)

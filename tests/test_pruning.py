@@ -477,6 +477,8 @@ class TestTraining:
         # identity scorer must reproduce the training trajectory of the base
         # loop with sigmoid(S_ij * <E_i, E_j>) edge weights, bit for bit. A
         # constant weight gets zero gradient, so Adam leaves it unchanged.
+        # The exact sddmm kernel scores edges as the gather chain below does.
+        monkeypatch.setattr(T, "_DENSE_CELLS", 0)
         identity = DiversityScorer("bilinear", bilinear_weight=T.constant(np.eye(8)))
         monkeypatch.setattr(pruning, "make_scorer", lambda kind, h, rng: identity)
         g = self.small_graph()

@@ -13,8 +13,20 @@ from ingsl.errors import (
     ShapeError,
     StateError,
 )
+from ingsl.graph import generate_sbm
+from ingsl.gsl import build_candidates
 
 from oracles import matmul_triple_loop, sddmm_loop
+
+# Values of the dense-path constant that send every spmm and sddmm call with
+# at least one entry to the exact kernels, or to the GEMMs.
+EXACT, DENSE = 0, 1 << 60
+
+
+@pytest.fixture
+def exact_path(monkeypatch):
+    """Pin spmm and sddmm to the exact kernels, whatever the operand sizes."""
+    monkeypatch.setattr(T, "_DENSE_CELLS", EXACT)
 
 
 class TestMatmul:
@@ -284,7 +296,7 @@ class TestStructureOps:
         assert T.gradient_check(f, [vals, dense]) < 1e-4
 
     @pytest.mark.parametrize("learn_values", [True, False])
-    def test_spmm_backward_skips_constant_operand(self, monkeypatch, learn_values):
+    def test_spmm_backward_skips_constant_operand(self, monkeypatch, exact_path, learn_values):
         # Only the operand that needs a gradient gets one computed, and its
         # bits are those of the run where both operands are learned.
         rng = np.random.default_rng(7)
@@ -504,7 +516,7 @@ class TestFusedMessageScatter:
 
     @pytest.mark.parametrize("width", [3, T._WIDE, 130])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_spmm_equals_materialized_messages(self, width, seed):
+    def test_spmm_equals_materialized_messages(self, exact_path, width, seed):
         offsets, rows, cols, vals, dense0, g = self.spmm_operands(width, seed)
         values, dense = T.parameter(vals), T.parameter(dense0)
         with T.Tape() as tape:
@@ -515,7 +527,7 @@ class TestFusedMessageScatter:
 
     @pytest.mark.parametrize("width", [3, T._WIDE, 130])
     @pytest.mark.parametrize("candidates", [False, True])
-    def test_sddmm_gradients_equal_materialized_messages(self, width, candidates):
+    def test_sddmm_gradients_equal_materialized_messages(self, exact_path, width, candidates):
         # candidates: rows laid out as build_candidates does, k per node.
         rng = np.random.default_rng([width, candidates])
         if candidates:
@@ -535,6 +547,128 @@ class TestFusedMessageScatter:
         assert same_bits(v.grad, add_at(ca, g[:, None] * u0[ra], 7))
 
 
+@st.composite
+def sparse_product_cases(draw):
+    """(rows, cols, n_rows, n_cols, width, seed): entries with repeated
+    (row, col) cells, empty rows, rectangular shapes and possibly none."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    entries = draw(st.lists(cells, max_size=30))
+    if entries and draw(st.booleans()):  # repeat some cells
+        entries += draw(st.lists(st.sampled_from(entries), max_size=10))
+    rows = np.array([i for i, _ in entries], dtype=np.int64)
+    cols = np.array([j for _, j in entries], dtype=np.int64)
+    return rows, cols, n_rows, n_cols, draw(st.integers(1, 5)), draw(st.integers(0, 2**31 - 1))
+
+
+LEARN = st.sampled_from([(True, True), (True, False), (False, True), (False, False)])
+
+
+def assert_paths_agree(run):
+    """run(cells) -> (out, grads...) under _DENSE_CELLS = cells; the exact
+    and dense paths must agree to 1e-12, and the dense run must densify."""
+    calls = []
+    real = T._densify
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_densify", lambda *a: calls.append(1) or real(*a))
+        exact = run(EXACT)
+        assert not calls
+        dense = run(DENSE)
+    for a, b in zip(exact, dense):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.shape == b.shape and np.all(np.abs(a - b) <= 1e-12)
+    return calls
+
+
+class TestDensePath:
+    """spmm and sddmm as GEMMs over a densified operand against the exact
+    kernels, forced to either side by the module constant."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_product_cases(), LEARN)
+    def test_spmm_paths_agree(self, case, learn):
+        rows, cols, n_rows, n_cols, h, seed = case
+        order = np.argsort(rows, kind="stable")  # CSR order
+        rows, cols = rows[order], cols[order]
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+        rng = np.random.default_rng(seed)
+        vals0, dense0 = rng.uniform(-1, 1, rows.size), rng.uniform(-1, 1, (n_cols, h))
+        g = T.constant(rng.uniform(-1, 1, (n_rows, h)))
+
+        def run(cells):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "_DENSE_CELLS", cells)
+                v, d = T.Tensor(vals0, learn[0]), T.Tensor(dense0, learn[1])
+                with T.Tape() as tape:
+                    out = T.spmm(offsets, cols, v, d)
+                    if any(learn):
+                        T.backward(T.sum_all(T.mul(out, g)), tape)
+            return out.data, v.grad, d.grad
+
+        calls = assert_paths_agree(run)
+        assert bool(calls) == bool(rows.size)  # no entries: nothing to densify
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_product_cases(), LEARN, st.booleans())
+    def test_sddmm_paths_agree(self, case, learn, shared):
+        rows, cols, n_u, n_v, d, seed = case
+        if shared:  # sddmm(r, c, u, u), as build_candidates calls it
+            n_v = n_u = max(n_u, n_v)
+        rng = np.random.default_rng(seed)
+        u0, v0 = rng.uniform(-1, 1, (n_u, d)), rng.uniform(-1, 1, (n_v, d))
+        g = T.constant(rng.uniform(-1, 1, rows.size))
+
+        def run(cells):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(T, "_DENSE_CELLS", cells)
+                u = T.Tensor(u0, learn[0])
+                v = u if shared else T.Tensor(v0, learn[1])
+                with T.Tape() as tape:
+                    out = T.sddmm(rows, cols, u, v)
+                    if u.requires_grad or v.requires_grad:
+                        T.backward(T.sum_all(T.mul(out, g)), tape)
+            return out.data, u.grad, v.grad
+
+        calls = assert_paths_agree(run)
+        backward_ran = learn[0] or (learn[1] and not shared)
+        assert bool(calls) == bool(rows.size and backward_ran)
+
+    @staticmethod
+    def kernels(monkeypatch):
+        """Record the names of the kernels that spmm and sddmm call."""
+        calls = []
+        for name in ("_densify", "_scatter_add", "_edge_dot"):
+            real = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda *a, _r=real, _n=name: calls.append(_n) or _r(*a))
+        return calls
+
+    def test_size_rule_keeps_a_sparse_wide_graph_exact(self, monkeypatch):
+        # The 1000-node benchmark's shape: 30 entries per row.
+        rng = np.random.default_rng(0)
+        n, k = 1000, 30
+        cols = np.concatenate([np.sort(rng.choice(n, k, replace=False)) for _ in range(n)])
+        values, dense = T.parameter(rng.uniform(size=n * k)), T.parameter(rng.normal(size=(n, 2)))
+        calls = self.kernels(monkeypatch)
+        with T.Tape() as tape:
+            out = T.spmm(np.arange(n + 1) * k, cols, values, dense)
+            T.backward(T.sum_all(out), tape)
+        assert calls == ["_scatter_add", "_edge_dot", "_scatter_add"]
+
+    def test_size_rule_sends_the_benchmark_candidate_graph_dense(self, monkeypatch):
+        # build_candidates' sddmm and the spmm over its graph, on the 200-node
+        # benchmark SBM with k = 30.
+        g = generate_sbm([50] * 4, 0.1, 0.01, 8, 1.0, 0)
+        x = T.parameter(g.features)
+        calls = self.kernels(monkeypatch)
+        with T.Tape() as tape:
+            cand = build_candidates(x, 30, "cosine")
+            out = cand.sparse.matmul(x)
+            T.backward(T.sum_all(out), tape)
+        assert cand.sparse.nnz == 6000
+        assert calls and set(calls) == {"_densify"}
+
+
 class TestSddmm:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6), st.integers(0, 20))
@@ -548,7 +682,7 @@ class TestSddmm:
         if m:
             assert np.abs(got - sddmm_loop(rows, cols, u, v)).max() < 1e-12
 
-    def test_equals_gather_chain_bit_for_bit(self):
+    def test_equals_gather_chain_bit_for_bit(self, exact_path):
         rng = np.random.default_rng(3)
         rows, cols = rng.integers(5, size=40), rng.integers(7, size=40)
         u0, v0, g = rng.normal(size=(5, 6)), rng.normal(size=(7, 6)), rng.normal(size=40)
@@ -616,7 +750,7 @@ class TestBlockedEdgeDot:
         assert got.shape == (m,) and np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("h,m", EDGE_CASES)
-    def test_sddmm_forward_and_backward_equal_unblocked(self, h, m):
+    def test_sddmm_forward_and_backward_equal_unblocked(self, exact_path, h, m):
         a, b, ra, ca = self.operands(h, m)
         g = np.random.default_rng(m).normal(size=m)
 
@@ -634,7 +768,7 @@ class TestBlockedEdgeDot:
             assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
     @pytest.mark.parametrize("h,m", EDGE_CASES)
-    def test_spmm_edge_value_gradient_equals_unblocked(self, h, m):
+    def test_spmm_edge_value_gradient_equals_unblocked(self, exact_path, h, m):
         a, dense0, _, cols = self.operands(h, m)
         rng = np.random.default_rng(m)
         counts = np.bincount(rng.integers(12, size=m), minlength=12)
