@@ -32,7 +32,7 @@ class LemmaReport:
     """Tally of randomized bound checks.
 
     ``max_slack`` is the worst (most negative) signed margin in the safe
-    direction; any margin below -1e-9 counts as a violation.
+    direction; any margin below -BOUND_TOL counts as a violation.
     """
 
     trials: int
@@ -55,7 +55,7 @@ def avg_pairwise_similarity(vectors) -> float:
     if data.ndim != 2 or data.shape[0] < 2:
         raise MetricError("pairwise similarity needs at least two vectors")
     norms = np.linalg.norm(data, axis=1)
-    if (norms < 1e-12).any():
+    if not T.nonzero_rows(data, norms).all():
         raise MetricError("pairwise similarity undefined for zero rows")
     unit = data / norms[:, None]
     total = unit.sum(axis=0)  # |sum u|^2 = sum |u_i|^2 + 2 * (sum over pairs)
@@ -199,25 +199,19 @@ def lemma2_check(
     )
 
 
-def nonzero_rows(data: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows with L2 norm >= 1e-12, the rows that have a
-    direction; ``tensor.row_l2_normalize_or_zero`` makes the same cut."""
-    return np.linalg.norm(data, axis=1) >= 1e-12
-
-
 def redundancy_profile(e, k_values) -> list[tuple[int, float]]:
     """Mean over nodes of the average pairwise cosine among each node's top-k
     most cosine-similar other nodes, for each requested k.
 
-    Rows with norm below 1e-12 have no cosine and are left out, both as
-    nodes and as neighbors. Selection uses cosine so the profile is invariant
+    Zero rows (``tensor.nonzero_rows``) have no cosine and are left out, both
+    as nodes and as neighbors. Selection uses cosine so the profile is invariant
     under row-wise positive rescaling. Nodes need >= 2 neighbors to
     contribute; for k < 2 the entry is NaN.
     """
     data = e.data if isinstance(e, T.Tensor) else np.asarray(e, dtype=np.float64)
     if data.ndim != 2:
         raise ConfigError("embeddings must be 2-D")
-    data = data[nonzero_rows(data)]
+    data = data[T.nonzero_rows(data)]
     n = data.shape[0]
     k_values = [int(k) for k in k_values]
     if any(k < 1 for k in k_values):

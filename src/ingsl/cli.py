@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .analysis import lemma1_check, lemma2_check, nonzero_rows, redundancy_profile
+from .analysis import lemma1_check, lemma2_check, redundancy_profile
 from .errors import ConfigError, NumericError
 from .gnn import gcn_forward, make_gcn_params, task_loss
 from .graph import (
@@ -182,7 +182,7 @@ def _read_json(path):
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 
@@ -623,7 +623,7 @@ def cmd_diagnose_redundancy(cfg: ExperimentConfig, k_values: list[int], out: Pat
     if max(k_values) >= base.n:
         raise ConfigError(f"--k-values must be < n = {base.n}, got {max(k_values)}")
     result = train_ingsl(base, cfg.train_config("no_reduction", 0.0, cfg.seeds[0]))
-    kept = int(nonzero_rows(result.embeddings).sum())
+    kept = int(T.nonzero_rows(result.embeddings).sum())
     if kept < base.n:
         print(f"left out {base.n - kept} of {base.n} embedding rows with zero norm")
     if max(k_values) >= kept:
@@ -736,6 +736,9 @@ def main(argv=None) -> int:
             return 2
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # sizes from a config or bundle
+            print(f"error: {exc or 'out of memory'}", file=sys.stderr)
             return 1
 
 

@@ -25,21 +25,35 @@ from .errors import (
 )
 
 BUNDLE_FILES = ("meta.json", "edges.tsv", "features.csv", "labels.csv", "masks.csv")
+SPLITS = ("train", "val", "test")  # the tokens of masks.csv
+
+
+def edge_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The undirected pair {i, j} of each entry as the integer min * n + max.
+    Sorted keys are sorted (i, j) pairs."""
+    return np.minimum(src, dst) * n + np.maximum(src, dst)
+
+
+def keys_to_edges(keys: np.ndarray, n: int) -> np.ndarray:
+    """The [m, 2] array of pairs (i, j), i < j, for keys from ``edge_keys``."""
+    return np.stack([keys // n, keys % n], axis=1)
+
+
+def both_directions(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of every undirected edge as i -> j, then every one as j -> i."""
+    return np.concatenate([edges[:, 0], edges[:, 1]]), np.concatenate([edges[:, 1], edges[:, 0]])
 
 
 def canonical_edges(pairs, n: int) -> np.ndarray:
     """Dedupe and sort undirected pairs into an [m, 2] array with i < j."""
-    seen = set()
-    for a, b in pairs:
-        a, b = int(a), int(b)
+    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero((e[:, 0] == e[:, 1]) | (e < 0).any(axis=1) | (e >= n).any(axis=1))
+    if bad.size:
+        a, b = e[bad[0]].tolist()
         if a == b:
             raise DomainError(f"self-loop ({a}, {a}) is not allowed")
-        if not (0 <= a < n and 0 <= b < n):
-            raise DomainError(f"edge ({a}, {b}) has endpoint outside [0, {n})")
-        seen.add((a, b) if a < b else (b, a))
-    if not seen:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.array(sorted(seen), dtype=np.int64)
+        raise DomainError(f"edge ({a}, {b}) has endpoint outside [0, {n})")
+    return keys_to_edges(np.unique(edge_keys(e[:, 0], e[:, 1], n)), n)
 
 
 @dataclass
@@ -98,9 +112,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.edges}
 
 
 @dataclass
@@ -198,9 +209,7 @@ def normalize_entries(
 def normalize_adjacency(g: Graph) -> SparseAdjacency:
     """Symmetrically normalized adjacency with self-loops of ``g``: unit
     weights with both directions materialized, so symmetric by construction."""
-    e = g.edges
-    src = np.concatenate([e[:, 0], e[:, 1]])
-    dst = np.concatenate([e[:, 1], e[:, 0]])
+    src, dst = both_directions(g.edges)
     return normalize_entries(g.n, src, dst, T.constant(np.ones(src.shape[0])))
 
 
@@ -228,19 +237,16 @@ def save_bundle(g: Graph, path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     meta = {"n": g.n, "d": g.d, "classes": g.classes}
     (root / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-    with open(root / "edges.tsv", "w") as fh:
-        for i, j in g.edges:
-            fh.write(f"{int(i)}\t{int(j)}\n")
-    with open(root / "features.csv", "w") as fh:
-        for row in g.features:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    with open(root / "labels.csv", "w") as fh:
-        for y in g.labels:
-            fh.write(f"{int(y)}\n")
+    _write_lines(root / "edges.tsv", (f"{i}\t{j}" for i, j in g.edges.tolist()))
+    _write_lines(root / "features.csv", (",".join(f"{v:.17g}" for v in row) for row in g.features))
+    _write_lines(root / "labels.csv", map(str, g.labels.tolist()))
     names = np.where(g.train_mask, "train", np.where(g.val_mask, "val", "test"))
-    with open(root / "masks.csv", "w") as fh:
-        for s in names:
-            fh.write(s + "\n")
+    _write_lines(root / "masks.csv", names)
+
+
+def _write_lines(path: Path, lines) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _bundle_lines(root: Path, name: str) -> list[str]:
@@ -259,13 +265,29 @@ def _bundle_lines(root: Path, name: str) -> list[str]:
     return lines
 
 
+def _bundle_rows(root: Path, name: str, parse, n: int | None = None) -> list:
+    """``parse`` of each line of ``name``, which must have exactly n lines
+    unless n is None. A ParseError from ``parse`` gets ``<name> line N:``
+    in front."""
+    lines = _bundle_lines(root, name)
+    if n is not None and len(lines) != n:
+        raise ParseError(f"{name} line {len(lines) + 1}: expected {n} rows")
+    rows = []
+    for ln, line in enumerate(lines, start=1):
+        try:
+            rows.append(parse(line))
+        except ParseError as exc:
+            raise ParseError(f"{name} line {ln}: {exc}") from None
+    return rows
+
+
 def load_bundle(path) -> Graph:
     """Parse a bundle directory into a Graph; duplicate/reversed edges merge."""
     root = Path(path)
     meta_lines = _bundle_lines(root, "meta.json")
     try:
         meta = json.loads("\n".join(meta_lines))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"meta.json: invalid JSON ({exc})") from None
     if not isinstance(meta, dict) or set(meta) != {"n", "d", "classes"}:
         raise ParseError("meta.json: expected an object with exactly the keys n, d, classes")
@@ -273,71 +295,60 @@ def load_bundle(path) -> Graph:
         raise ParseError("meta.json: n, d and classes must be non-negative integers")
     n, d, classes = meta["n"], meta["d"], meta["classes"]
 
-    pairs = []
-    for ln, line in enumerate(_bundle_lines(root, "edges.tsv"), start=1):
+    def edge(line: str) -> tuple[int, int] | None:
         if not line.strip():
-            continue
+            return None
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"edges.tsv line {ln}: expected two node ids")
+            raise ParseError("expected two node ids")
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"edges.tsv line {ln}: non-integer node id") from None
+            raise ParseError("non-integer node id") from None
         if not (0 <= a < n and 0 <= b < n):
-            raise ParseError(f"edges.tsv line {ln}: node id outside [0, {n})")
+            raise ParseError(f"node id outside [0, {n})")
         if a == b:
-            raise ParseError(f"edges.tsv line {ln}: self-loop not allowed")
-        pairs.append((a, b))
-    edges = canonical_edges(pairs, n)
+            raise ParseError("self-loop not allowed")
+        return a, b
 
-    feat_lines = _bundle_lines(root, "features.csv")
-    if len(feat_lines) != n:
-        raise ParseError(f"features.csv line {len(feat_lines) + 1}: expected {n} rows")
-    features = np.zeros((n, d))
-    for ln, line in enumerate(feat_lines, start=1):
+    def feature_row(line: str) -> list[float]:
         parts = line.split(",")
         if len(parts) != d:
-            raise ParseError(f"features.csv line {ln}: expected {d} values")
+            raise ParseError(f"expected {d} values")
         try:
             row = [float(v) for v in parts]
         except ValueError:
-            raise ParseError(f"features.csv line {ln}: non-numeric value") from None
+            raise ParseError("non-numeric value") from None
         if any(math.isnan(v) for v in row):
-            raise ParseError(f"features.csv line {ln}: NaN feature")
-        features[ln - 1] = row
+            raise ParseError("NaN feature")
+        return row
 
-    label_lines = _bundle_lines(root, "labels.csv")
-    if len(label_lines) != n:
-        raise ParseError(f"labels.csv line {len(label_lines) + 1}: expected {n} rows")
-    labels = np.zeros(n, dtype=np.int64)
-    for ln, line in enumerate(label_lines, start=1):
+    def label(line: str) -> int:
         try:
             y = int(line.strip())
         except ValueError:
-            raise ParseError(f"labels.csv line {ln}: non-integer label") from None
+            raise ParseError("non-integer label") from None
         if not (0 <= y < classes):
-            raise ParseError(f"labels.csv line {ln}: label outside [0, {classes})")
-        labels[ln - 1] = y
+            raise ParseError(f"label outside [0, {classes})")
+        return y
 
-    mask_lines = _bundle_lines(root, "masks.csv")
-    if len(mask_lines) != n:
-        raise ParseError(f"masks.csv line {len(mask_lines) + 1}: expected {n} rows")
-    masks = {"train": np.zeros(n, bool), "val": np.zeros(n, bool), "test": np.zeros(n, bool)}
-    for ln, line in enumerate(mask_lines, start=1):
+    def split(line: str) -> str:
         token = line.strip()
-        if token not in masks:
-            raise ParseError(f"masks.csv line {ln}: unknown split {token!r}")
-        masks[token][ln - 1] = True
+        if token not in SPLITS:
+            raise ParseError(f"unknown split {token!r}")
+        return token
 
+    pairs = [p for p in _bundle_rows(root, "edges.tsv", edge) if p is not None]
+    edges = canonical_edges(pairs, n)
+    features = np.array(_bundle_rows(root, "features.csv", feature_row, n), dtype=np.float64)
+    labels = np.array(_bundle_rows(root, "labels.csv", label, n), dtype=np.int64)
+    splits = _bundle_rows(root, "masks.csv", split, n)
     return Graph(
-        features=features,
+        features=features.reshape(n, d),
         labels=labels,
         edges=edges,
-        train_mask=masks["train"],
-        val_mask=masks["val"],
-        test_mask=masks["test"],
         classes=classes,
+        **{f"{s}_mask": np.array([t == s for t in splits], dtype=bool) for s in SPLITS},
     )
 
 
@@ -425,48 +436,36 @@ def inject_structural_noise(
     """
     check_noise_ratios(add_ratio=add_ratio, del_ratio=del_ratio)
     rng = np.random.default_rng(seed)
-    m = g.num_edges
+    n, m = g.n, g.num_edges
     n_del = int(del_ratio * m)
     n_add = int(add_ratio * m)
 
-    keep_idx = np.arange(m)
+    existing = edge_keys(*g.edges.T, n)
+    kept = existing
     if n_del:
-        drop = rng.choice(m, size=n_del, replace=False)
-        keep_idx = np.setdiff1d(keep_idx, drop)
-    kept = [tuple(e) for e in g.edges[keep_idx]]
+        kept = np.delete(existing, rng.choice(m, size=n_del, replace=False))
 
-    existing = g.edge_set()
-    total_pairs = g.n * (g.n - 1) // 2
-    capacity = total_pairs - m
+    capacity = n * (n - 1) // 2 - m
     if n_add > capacity:
         raise CapacityError(f"cannot add {n_add} edges; only {capacity} pairs free")
 
-    added: list[tuple[int, int]] = []
-    if n_add:
-        if 3 * n_add > capacity:
-            # Dense request: enumerate the complement and sample exactly.
-            iu, ju = np.triu_indices(g.n, k=1)
-            free = [
-                (int(a), int(b))
-                for a, b in zip(iu, ju)
-                if (int(a), int(b)) not in existing
-            ]
-            pick = rng.choice(len(free), size=n_add, replace=False)
-            added = [free[i] for i in pick]
-        else:
-            chosen: set[tuple[int, int]] = set()
-            while len(chosen) < n_add:
-                a = int(rng.integers(g.n))
-                b = int(rng.integers(g.n))
-                if a == b:
-                    continue
-                pair = (a, b) if a < b else (b, a)
-                if pair in existing or pair in chosen:
-                    continue
-                chosen.add(pair)
-            added = sorted(chosen)
+    if 3 * n_add > capacity:
+        # Dense request: enumerate the complement and sample exactly.
+        iu, ju = np.triu_indices(n, k=1)
+        free = np.setdiff1d(edge_keys(iu, ju, n), existing, assume_unique=True)
+        added = free[rng.choice(free.size, size=n_add, replace=False)]
+    else:
+        taken, new = set(existing.tolist()), []
+        while len(new) < n_add:
+            a = int(rng.integers(n))
+            b = int(rng.integers(n))
+            key = int(edge_keys(a, b, n))
+            if a != b and key not in taken:
+                taken.add(key)
+                new.append(key)
+        added = np.array(new, dtype=np.int64)
 
-    return replace(g, edges=canonical_edges(kept + added, g.n))
+    return replace(g, edges=keys_to_edges(np.union1d(kept, added), n))
 
 
 def mask_features(g: Graph, mask_ratio: float, seed: int) -> Graph:

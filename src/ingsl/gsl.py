@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DomainError, ShapeError
 from .gnn import GcnParams, gcn_forward
-from .graph import Graph, SparseAdjacency, normalize_entries
+from .graph import Graph, SparseAdjacency, both_directions, normalize_adjacency, normalize_entries
 
 
 @dataclass
@@ -114,17 +114,14 @@ def fuse_with_original(
     """
     if residual_weight < 0:
         raise DomainError("residual_weight must be non-negative")
-    e = a.edges
-    src = np.concatenate([e[:, 0], e[:, 1]])
-    dst = np.concatenate([e[:, 1], e[:, 0]])
-    base_w = T.constant(np.ones(src.shape[0]))
-
     sparse = s.sparse if isinstance(s, CandidateGraph) else s
     if sparse is None or sparse.nnz == 0:
-        return normalize_entries(a.n, src, dst, base_w)
+        return normalize_adjacency(a)
 
+    src, dst = both_directions(a.edges)
     s_src, s_dst = sparse.directed_pairs()
     all_src = np.concatenate([src, s_src])
     all_dst = np.concatenate([dst, s_dst])
+    base_w = T.constant(np.ones(src.shape[0]))
     all_w = T.concat_vec(base_w, T.mul(sparse.values, float(residual_weight)))
     return normalize_entries(a.n, all_src, all_dst, all_w)

@@ -33,7 +33,7 @@ from .gnn import (
     make_gcn_params,
     task_loss,
 )
-from .graph import Graph, SparseAdjacency, normalize_adjacency
+from .graph import Graph, SparseAdjacency, edge_keys, normalize_adjacency
 from .gsl import (
     METRICS,
     CandidateGraph,
@@ -328,10 +328,8 @@ def _detach_sparse(s: SparseAdjacency) -> SparseAdjacency:
 def _edge_stats(s: SparseAdjacency, g: Graph) -> tuple[int, int]:
     """Directed entries absent from the original graph, and the count of
     distinct undirected pairs among them."""
-    rows, cols = s.directed_pairs()
-    # An undirected pair {i, j} is the integer min * n + max.
-    keys = np.minimum(rows, cols) * g.n + np.maximum(rows, cols)
-    new = keys[~np.isin(keys, g.edges[:, 0] * g.n + g.edges[:, 1])]
+    keys = edge_keys(*s.directed_pairs(), g.n)
+    new = keys[~np.isin(keys, edge_keys(*g.edges.T, g.n))]
     return int(new.size), int(np.unique(new).size)
 
 
@@ -437,11 +435,8 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                     # Representations only: the contrastive term never reads logits.
                     z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
                     # Rows zeroed by dead ReLU units have no cosine; restrict
-                    # the contrastive term to the non-degenerate rows.
-                    good = np.flatnonzero(
-                        (np.linalg.norm(z_t.data, axis=1) > 1e-9)
-                        & (np.linalg.norm(z_full.data, axis=1) > 1e-9)
-                    )
+                    # the contrastive term to the rows nonzero in both views.
+                    good = np.flatnonzero(T.nonzero_rows(z_t.data) & T.nonzero_rows(z_full.data))
                     if good.size >= 2:
                         rng_mi = np.random.default_rng([cfg.seed, 3, epoch])
                         ids = sample_batch(good.size, min(batch_size, good.size), rng_mi)

@@ -249,14 +249,26 @@ def pow_const(x: Tensor, p: float) -> Tensor:
     return _out(out, (x,), lambda g: (g * p * d ** (p - 1.0),), "pow_const")
 
 
+ZERO_ROW_NORM = 1e-12
+
+
+def nonzero_rows(data: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the rows with L2 ``norms`` (computed if not given) at least
+    ZERO_ROW_NORM; every other row is a zero row and has no direction."""
+    if norms is None:
+        norms = np.linalg.norm(data, axis=1)
+    return norms >= ZERO_ROW_NORM
+
+
 def row_l2_normalize(x: Tensor) -> Tensor:
-    """Scale each row of a 2-D tensor to unit Euclidean norm."""
+    """Scale each row of a 2-D tensor to unit Euclidean norm; a zero row
+    (see ``nonzero_rows``) raises."""
     if x.data.ndim != 2:
         raise ShapeError(f"row_l2_normalize requires a 2-D operand, got {x.shape}")
     norms = np.sqrt((x.data**2).sum(axis=1))
-    tiny = np.flatnonzero(norms < 1e-12)
+    tiny = np.flatnonzero(~nonzero_rows(x.data, norms))
     if tiny.size:
-        raise DegenerateRowError(f"row {int(tiny[0])} has norm below 1e-12")
+        raise DegenerateRowError(f"row {int(tiny[0])} has norm below {ZERO_ROW_NORM:g}")
     out = x.data / norms[:, None]
 
     def bwd(g):
@@ -268,13 +280,12 @@ def row_l2_normalize(x: Tensor) -> Tensor:
 
 
 def row_l2_normalize_or_zero(x: Tensor) -> Tensor:
-    """Like row_l2_normalize, but rows with norm below 1e-12 map to zero
-    (with zero gradient) instead of raising. Directionless rows then have
-    cosine 0 to everything."""
+    """Like row_l2_normalize, but zero rows map to zero (with zero gradient)
+    instead of raising. Directionless rows then have cosine 0 to everything."""
     if x.data.ndim != 2:
         raise ShapeError(f"row_l2_normalize_or_zero requires a 2-D operand, got {x.shape}")
     norms = np.sqrt((x.data**2).sum(axis=1))
-    good = norms >= 1e-12
+    good = nonzero_rows(x.data, norms)
     safe = np.where(good, norms, 1.0)
     out = np.where(good[:, None], x.data / safe[:, None], 0.0)
 

@@ -465,8 +465,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "meta",
-        ['{"n": null, "d": 3, "classes": 2}', "7", '{"n": 24, "d": 4.5, "classes": 2}'],
-        ids=["null-n", "bare-number", "float-d"],
+        [
+            '{"n": null, "d": 3, "classes": 2}',
+            "7",
+            '{"n": 24, "d": 4.5, "classes": 2}',
+            "[" * 100000 + "]" * 100000,
+        ],
+        ids=["null-n", "bare-number", "float-d", "nested-100000-deep"],
     )
     def test_malformed_bundle_meta_exit_one(self, tmp_path, capsys, meta):
         bundle = tmp_path / "bundle"
@@ -475,6 +480,22 @@ class TestExitCodes:
         cfg = write_config(tmp_path, dataset={"bundle": str(bundle)})
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         one_error_line(capsys, "meta.json")
+
+    @pytest.mark.parametrize("command", ["train", "gen-sbm"])
+    def test_deeply_nested_config_exit_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, "config is not valid JSON: maximum recursion depth exceeded")
+
+    def test_unallocatable_size_exit_one(self, tmp_path, capsys):
+        # 10 x 10**15 float64 features is 71 PiB, past any address space, so
+        # the allocation fails at once whatever the overcommit policy.
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"sbm": dict(SBM_SPEC, block_sizes=[5, 5], feature_dim=10**15)}))
+        assert main(["gen-sbm", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 1
+        one_error_line(capsys, "Unable to allocate")
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize(
         "command,extra",

@@ -62,7 +62,7 @@ class TestBundleIO:
         save_bundle(g, tmp_path / "b")
         g2 = load_bundle(tmp_path / "b")
         assert g2.n == 3 and g2.num_edges == 2
-        assert g2.edge_set() == {(0, 1), (1, 2)}
+        assert np.array_equal(g2.edges, [[0, 1], [1, 2]])
 
     def test_roundtrip_is_identity(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -86,13 +86,19 @@ class TestBundleIO:
         g = tiny_graph()
         save_bundle(g, tmp_path / "b")
         (tmp_path / "b" / "edges.tsv").write_text("0 1\n1 0\n0 1\n1 2\n")
-        assert load_bundle(tmp_path / "b").edge_set() == {(0, 1), (1, 2)}
+        assert np.array_equal(load_bundle(tmp_path / "b").edges, [[0, 1], [1, 2]])
 
     def test_missing_file(self, tmp_path):
         g = tiny_graph()
         save_bundle(g, tmp_path / "b")
         (tmp_path / "b" / "labels.csv").unlink()
         with pytest.raises(ParseError, match="labels.csv"):
+            load_bundle(tmp_path / "b")
+
+    def test_deeply_nested_meta_is_parse_error(self, tmp_path):
+        save_bundle(tiny_graph(), tmp_path / "b")
+        (tmp_path / "b" / "meta.json").write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ParseError, match=r"^meta.json: invalid JSON \(maximum recursion depth"):
             load_bundle(tmp_path / "b")
 
     def test_row_count_mismatch(self, tmp_path):
@@ -126,7 +132,7 @@ class TestBundleIO:
             path.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
         g2 = load_bundle(tmp_path / "b")
         assert np.array_equal(g2.features, g.features)
-        assert np.array_equal(g2.labels, g.labels) and g2.edge_set() == g.edge_set()
+        assert np.array_equal(g2.labels, g.labels) and np.array_equal(g2.edges, g.edges)
         assert np.array_equal(g2.test_mask, g.test_mask)
 
     def test_label_out_of_range(self, tmp_path):
@@ -327,10 +333,10 @@ class TestStructuralNoise:
         )
         g2 = inject_structural_noise(g, 0.25, 0.25, seed=11)
         assert g2.num_edges == 100
-        added = g2.edge_set() - g.edge_set()
-        removed = g.edge_set() - g2.edge_set()
+        before, after = (set(map(tuple, x.edges.tolist())) for x in (g, g2))
+        added, removed = after - before, before - after
         assert len(added) == 25 and len(removed) == 25
-        assert not (added & g.edge_set())
+        assert not (added & before)
 
     def test_determinism_byte_for_byte(self, tmp_path):
         rng = np.random.default_rng(5)

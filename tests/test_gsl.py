@@ -174,7 +174,7 @@ class TestBuildCandidates:
         e = rng.normal(size=(10, 3))
         cand = build_candidates(T.constant(e), 4)
         rows, cols = cand.pairs()
-        original = g.edge_set()
+        original = set(map(tuple, g.edges.tolist()))
         additional = sum(
             1 for i, j in zip(rows, cols)
             if (min(i, j), max(i, j)) not in original
