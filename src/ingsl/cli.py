@@ -177,12 +177,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: not UTF-8 text (byte {exc.start})") from None
+    except (ValueError, RecursionError) as exc:  # ValueError: an int too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
 

@@ -287,7 +287,7 @@ def load_bundle(path) -> Graph:
     meta_lines = _bundle_lines(root, "meta.json")
     try:
         meta = json.loads("\n".join(meta_lines))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: an int too long to convert
         raise ParseError(f"meta.json: invalid JSON ({exc})") from None
     if not isinstance(meta, dict) or set(meta) != {"n", "d", "classes"}:
         raise ParseError("meta.json: expected an object with exactly the keys n, d, classes")

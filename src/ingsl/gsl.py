@@ -62,7 +62,9 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
 
     Similarity is the inner product by default ("cosine" normalizes rows
     first). Selection is detached; gradient flows only into the kept entries.
-    Ties break toward the smaller column index. The result is row-wise and
+    Ties break toward the smaller column index. Each kept entry is scored
+    with the similarity it was ranked by, taken from the one symmetric
+    product, so i->j and j->i share their bits. The result is row-wise and
     not symmetrized.
     """
     if e.data.ndim != 2:
@@ -78,10 +80,11 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
     np.negative(neg, out=neg)
     np.fill_diagonal(neg, np.inf)
     cols = np.sort(_first_k(neg, k), axis=1)
+    sim = np.negative(neg, out=neg)  # in place; the diagonal reads -inf
 
     src = np.repeat(np.arange(n), k)
     dst = cols.reshape(-1)
-    values = T.sddmm(src, dst, base, base)
+    values = T.sddmm(src, dst, base, base, product=sim)
     row_offsets = np.arange(n + 1, dtype=np.int64) * k
     sparse = SparseAdjacency(row_offsets, dst, values, n)
     return CandidateGraph(sparse=sparse)

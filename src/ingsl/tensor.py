@@ -555,14 +555,23 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
         return _out(a @ dd, (values, dense), bwd, "spmm")
 
     def bwd(g):
-        gv = _edge_dot(g, dd, rows, cols) if values.requires_grad else None
-        gd = _scatter_add(cols, g, n_cols, rows, vd) if dense.requires_grad else None
+        # An entry whose row of g is all zero sends +-0 messages, and adding
+        # +-0 never changes a sum that starts at +0.0: only live entries are
+        # scattered, and the others get an edge-value gradient of 0.0.
+        live = np.flatnonzero(g.any(axis=1)[rows])
+        r, c = rows[live], cols[live]
+        gv = gd = None
+        if values.requires_grad:
+            gv = np.zeros(cols.size)
+            gv[live] = _edge_dot(g, dd, r, c)
+        if dense.requires_grad:
+            gd = _scatter_add(c, g, n_cols, r, vd[live])
         return (gv, gd)
 
     return _out(_scatter_add(rows, dd, n_rows, cols, vd), (values, dense), bwd, "spmm")
 
 
-def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
+def sddmm(rows, cols, u: Tensor, v: Tensor, product: np.ndarray | None = None) -> Tensor:
     """Sampled dense-dense product: out[e] = <u[rows[e]], v[cols[e]]>.
 
     Gradient flows to both operands. When ``_dense_pays``,
@@ -570,7 +579,9 @@ def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
     gradients into a dense matrix and multiplies; ``sddmm(r, c, u, u)`` then
     takes numpy's symmetric product, so edges (i, j) and (j, i) score the
     same bits. Otherwise edges are scored one by one, without forming u v^T
-    or copying endpoint rows onto the tape.
+    or copying endpoint rows onto the tape. A caller that already holds
+    u v^T passes it as ``product``, and the forward gathers from it on
+    either path; the backward is the same.
     """
     if u.data.ndim != 2 or v.data.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ShapeError(f"sddmm: incompatible operands {u.shape} and {v.shape}")
@@ -580,6 +591,8 @@ def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
         raise ShapeError("sddmm: row and column index lengths differ")
     ud, vd = u.data, v.data
     n_u, n_v = ud.shape[0], vd.shape[0]
+    if product is not None and product.shape != (n_u, n_v):
+        raise ShapeError(f"sddmm: product shape {product.shape} is not {(n_u, n_v)}")
 
     if _dense_pays(n_u, n_v, ra.size):
 
@@ -587,14 +600,19 @@ def sddmm(rows, cols, u: Tensor, v: Tensor) -> Tensor:
             gm = _densify(ra, ca, g, n_u, n_v)
             return (gm @ vd, gm.T @ ud)
 
-        return _out((ud @ vd.T)[ra, ca], (u, v), bwd, "sddmm")
+        if product is None:
+            product = ud @ vd.T
+        return _out(product[ra, ca], (u, v), bwd, "sddmm")
 
     def bwd(g):
-        gu = _scatter_add(ra, vd, n_u, ca, g)
-        gv = _scatter_add(ca, ud, n_v, ra, g)
-        return (gu, gv)
+        # A zero edge gradient sends +-0 messages, which change no sum (see
+        # spmm): only the edges with g[e] != 0 are scattered.
+        live = np.flatnonzero(g)
+        r, c, gl = ra[live], ca[live], g[live]
+        return (_scatter_add(r, vd, n_u, c, gl), _scatter_add(c, ud, n_v, r, gl))
 
-    return _out(_edge_dot(ud, vd, ra, ca), (u, v), bwd, "sddmm")
+    out = _edge_dot(ud, vd, ra, ca) if product is None else product[ra, ca]
+    return _out(out, (u, v), bwd, "sddmm")
 
 
 # ---------------------------------------------------------------------------

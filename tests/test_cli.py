@@ -125,6 +125,13 @@ MALFORMED = [
 MALFORMED_IDS = [json.dumps(o)[:40] for o, _ in MALFORMED]
 
 
+# Pythons from 3.10.7 on refuse to convert an integer string of more than
+# 4300 digits, and json.loads then raises a plain ValueError.
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+
+
 def one_error_line(capsys, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and text in err[0], err
@@ -304,10 +311,10 @@ class TestTrainCommand:
         assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
         assert (a / "cells.csv").read_text() == (b / "cells.csv").read_text()
 
-    def test_thread_parallelism_matches_serial(self, tmp_path, monkeypatch):
+    @staticmethod
+    def assert_thread_counts_agree(tmp_path, monkeypatch, cfg):
         # Serial, a pool whose workers run BLAS at one thread, and a pool
         # left at the default BLAS threads (as on a BLAS with no setter).
-        cfg = write_config(tmp_path, seeds=[0, 1], modes=list(MODES))
         outs = {}
         for label, threads, setter in (
             ("serial", "1", cli._blas_thread_setter),
@@ -326,6 +333,20 @@ class TestTrainCommand:
         assert reports["pinned"] == reports["serial"] == reports["unpinned"]
         cells = {(out / "cells.csv").read_text() for out in outs.values()}
         assert len(cells) == 1
+
+    def test_thread_parallelism_matches_serial(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, seeds=[0, 1], modes=list(MODES))
+        self.assert_thread_counts_agree(tmp_path, monkeypatch, cfg)
+
+    def test_thread_parallelism_matches_serial_on_the_exact_path(self, tmp_path, monkeypatch):
+        # 100 nodes with k = 2: the candidate sddmm runs the exact kernels,
+        # and its scores come from the BLAS product the top-K ranked.
+        sbm = dict(SBM_SPEC, block_sizes=[50, 50], p_in=0.1, p_out=0.01)
+        assert not T._dense_pays(100, 100, 100 * 2)
+        cfg = write_config(
+            tmp_path, dataset={"sbm": sbm}, k=2, seeds=[0, 1], modes=list(MODES), epochs=6
+        )
+        self.assert_thread_counts_agree(tmp_path, monkeypatch, cfg)
 
     def test_pool_pins_blas_and_restores_the_caller(self, monkeypatch):
         set_blas, get_blas = blas_thread_functions()
@@ -487,6 +508,30 @@ class TestExitCodes:
         cfg.write_text("[" * 100000 + "]" * 100000)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         one_error_line(capsys, "config is not valid JSON: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("command", ["train", "gen-sbm"])
+    def test_non_utf8_config_names_the_file(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(b"\xff" + cfg.read_bytes())
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, f"config file {cfg}: not UTF-8 text (byte 0)")
+
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("command", ["train", "gen-sbm"])
+    def test_overlong_integer_in_config_exit_one(self, tmp_path, capsys, command):
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"k": ' + "9" * 5000 + "}")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, "config is not valid JSON: Exceeds the limit")
+
+    @needs_int_digit_limit
+    def test_overlong_integer_in_bundle_meta_exit_one(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(**SBM_SPEC), bundle)
+        (bundle / "meta.json").write_text('{"n": ' + "9" * 5000 + ', "d": 4, "classes": 2}')
+        cfg = write_config(tmp_path, dataset={"bundle": str(bundle)})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, "meta.json: invalid JSON (Exceeds the limit")
 
     def test_unallocatable_size_exit_one(self, tmp_path, capsys):
         # 10 x 10**15 float64 features is 71 PiB, past any address space, so

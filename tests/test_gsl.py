@@ -158,6 +158,24 @@ class TestBuildCandidates:
         values = cand.sparse.values.data.view(np.int64)
         assert ij.size > 100 and np.array_equal(values[ij], values[ji])
 
+    @pytest.mark.parametrize("cells", [0, 1 << 60], ids=["exact", "dense"])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_scores_are_the_ranked_similarities(self, monkeypatch, cells, metric):
+        # Each kept entry scores the bits of the u u^T its row was ranked
+        # from, on either path (test_mutual_pairs_share_one_value checks
+        # the symmetry); at these sizes the default rule sends sddmm exact.
+        e = T.constant(np.random.default_rng(2).normal(size=(150, 16)))
+        k = 4
+        assert not T._dense_pays(150, 150, 150 * k)
+        monkeypatch.setattr(T, "_DENSE_CELLS", cells)
+        cand = build_candidates(e, k, metric)
+        b = T.row_l2_normalize_or_zero(e) if metric == "cosine" else e
+        src, dst = cand.pairs()
+        bits = cand.sparse.values.data.view(np.int64)
+        assert np.array_equal(bits, (b.data @ b.data.T)[src, dst].view(np.int64))
+        if cells:  # the dense sddmm forms the same symmetric product
+            assert np.array_equal(bits, T.sddmm(src, dst, b, b).data.view(np.int64))
+
     def test_gradient_flows_into_kept_entries(self):
         rng = np.random.default_rng(4)
         e = T.parameter(rng.normal(size=(6, 3)))

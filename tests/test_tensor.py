@@ -547,6 +547,91 @@ class TestFusedMessageScatter:
         assert same_bits(v.grad, add_at(ca, g[:, None] * u0[ra], 7))
 
 
+class TestZeroGradientSkips:
+    """The exact backward kernels leave out the entries whose gradient is
+    zero; the scattered gradients keep the bits of np.add.at over every
+    entry, and a left-out edge-value gradient reads 0.0."""
+
+    @staticmethod
+    def spmm_case(width, seed):
+        # 200 x 200 with 3 entries per row: 40000 cells against 30 * 600.
+        rng = np.random.default_rng([width, seed])
+        n, k = 200, 3
+        rows = np.repeat(np.arange(n), k)
+        cols = rng.integers(n, size=n * k)
+        assert not T._dense_pays(n, n, rows.size)
+        vals, dense = rng.normal(size=rows.size), rng.normal(size=(n, width))
+        g = rng.normal(size=(n, width))
+        g[rng.random(n) < 0.8] = 0.0
+        g[::7] = -0.0  # all-zero rows holding -0.0
+        g[1::10, 0] = -0.0  # -0.0 inside rows that stay live
+        return np.arange(n + 1) * k, rows, cols, vals, dense, g
+
+    @pytest.mark.parametrize("width", [3, 130])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_spmm_gradients(self, monkeypatch, width, seed):
+        offsets, rows, cols, vals, dense0, g = self.spmm_case(width, seed)
+        live = g.any(axis=1)[rows]
+        assert 0 < live.sum() < rows.size
+        seen = []
+        real = T._edge_dot
+        monkeypatch.setattr(
+            T, "_edge_dot", lambda a, b, ra, ca: seen.append(ra.size) or real(a, b, ra, ca)
+        )
+        values, dense = T.parameter(vals), T.parameter(dense0)
+        with T.Tape() as tape:
+            out = T.spmm(offsets, cols, values, dense)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+        assert seen == [live.sum()]
+        assert same_bits(dense.grad, add_at(cols, vals[:, None] * g[rows], 200))
+        assert np.array_equal(values.grad, (g[rows] * dense0[cols]).sum(axis=1))
+        assert same_bits(values.grad[~live], np.zeros((~live).sum()))
+
+    @staticmethod
+    def sddmm_grads(ra, ca, u0, v0, g):
+        u, v = T.parameter(u0), T.parameter(v0)
+        with T.Tape() as tape:
+            out = T.sddmm(ra, ca, u, v)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+        return u.grad, v.grad
+
+    @pytest.mark.parametrize("width", [3, 130])
+    def test_sddmm_gradients(self, width):
+        # Rows laid out as build_candidates does: 120 nodes, k = 3.
+        rng = np.random.default_rng(width)
+        ra = np.repeat(np.arange(120), 3)
+        ca = rng.integers(120, size=360)
+        assert not T._dense_pays(120, 120, 360)
+        u0, v0 = rng.normal(size=(120, width)), rng.normal(size=(120, width))
+        g = rng.normal(size=360)
+        g[rng.random(360) < 0.5] = 0.0
+        g[::9] = -0.0
+        gu, gv = self.sddmm_grads(ra, ca, u0, v0, g)
+        assert same_bits(gu, add_at(ra, g[:, None] * v0[ca], 120))
+        assert same_bits(gv, add_at(ca, g[:, None] * u0[ra], 120))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([3, 130]),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=1, max_size=80),
+    )
+    def test_sddmm_gradients_under_zero_masks(self, seed, width, mask):
+        # mask[e] 1.0 keeps a random gradient, 0.0 or -0.0 replaces it.
+        rng = np.random.default_rng(seed)
+        m = len(mask)
+        n_u, n_v = 40, 50
+        ra, ca = rng.integers(n_u, size=m), rng.integers(n_v, size=m)
+        assert not T._dense_pays(n_u, n_v, m)
+        u0, v0 = rng.normal(size=(n_u, width)), rng.normal(size=(n_v, width))
+        v0[0] = -0.0
+        mask = np.array(mask)
+        g = np.where(mask == 1.0, rng.normal(size=m), mask)
+        gu, gv = self.sddmm_grads(ra, ca, u0, v0, g)
+        assert same_bits(gu, add_at(ra, g[:, None] * v0[ca], n_u))
+        assert same_bits(gv, add_at(ca, g[:, None] * u0[ra], n_v))
+
+
 @st.composite
 def sparse_product_cases(draw):
     """(rows, cols, n_rows, n_cols, width, seed): entries with repeated
