@@ -82,8 +82,8 @@ class Graph:
         n = self.n
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ConfigError("features must be [n, d]")
-        if np.isnan(self.features).any():
-            raise ConfigError("features contain NaN")
+        if not np.isfinite(self.features).all():
+            raise ConfigError("features contain NaN or infinite values")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.classes):
             raise ConfigError(f"labels outside [0, {self.classes})")
         if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
@@ -319,8 +319,8 @@ def load_bundle(path) -> Graph:
             row = [float(v) for v in parts]
         except ValueError:
             raise ParseError("non-numeric value") from None
-        if any(math.isnan(v) for v in row):
-            raise ParseError("NaN feature")
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError("non-finite feature")
         return row
 
     def label(line: str) -> int:

@@ -502,10 +502,10 @@ def segment_sum(x: Tensor, seg_ids, num_segments: int) -> Tensor:
 # spmm and sddmm run as BLAS GEMMs when their sparse operand has at most
 # this many cells per entry: a GEMM costs per cell, the exact kernels per
 # entry. At one BLAS thread the GEMMs win per call up to 40-50 cells per
-# entry (n 200 and 1000, widths 8 and 128), but a 1000-node operand is 8 MB
-# held on the tape, and GEMMs on the 1000-node benchmark graph (33-106 cells
-# per entry) raised its peak RSS from 84 to 100 MB. 30 puts every product
-# on the 200-node benchmark graph (6-27) on the GEMMs.
+# entry (n 200 and 1000, widths 8 and 128), but a 1000-node operand is 8 MB,
+# and GEMMs on the 1000-node benchmark graph (33-106 cells per entry) raised
+# its peak RSS from 84 to 100 MB. 30 puts every product on the 200-node
+# benchmark graph (6-27) on the GEMMs.
 _DENSE_CELLS = 30
 
 
@@ -520,14 +520,44 @@ def _densify(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n_rows: int, 
     return flat.reshape(n_rows, n_cols)
 
 
+def _spmm(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, dense: np.ndarray, n_out: int) -> np.ndarray:
+    """Sum the message ``vals[e] * dense[cols[e]]`` into row ``rows[e]`` of an
+    n_out-row zero array: a GEMM over the densified entries when
+    ``_dense_pays``, else ``_scatter_add`` in entry order. On that exact path
+    an entry whose value is 0 or whose dense row is all zero sends +-0, and
+    adding +-0 never changes a sum that starts at +0.0, so it is left out."""
+    n_in = dense.shape[0]
+    if _dense_pays(n_out, n_in, rows.size):
+        return _densify(rows, cols, vals, n_out, n_in) @ dense
+    live = (vals != 0) & dense.any(axis=1)[cols]
+    if not live.all():
+        rows, cols, vals = rows[live], cols[live], vals[live]
+    return _scatter_add(rows, dense, n_out, cols, vals)
+
+
+def _sddmm(rows: np.ndarray, cols: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-edge inner products <u[rows[e]], v[cols[e]]>: gathered from the GEMM
+    u v^T when ``_dense_pays``, else one ``_edge_dot`` per edge. On that exact
+    path an edge with an all-zero row at either end scores +0.0 without a
+    dot product."""
+    if _dense_pays(u.shape[0], v.shape[0], rows.size):
+        return (u @ v.T)[rows, cols]
+    live = u.any(axis=1)[rows] & v.any(axis=1)[cols]
+    if live.all():
+        return _edge_dot(u, v, rows, cols)
+    out = np.zeros(rows.size)
+    out[live] = _edge_dot(u, v, rows[live], cols[live])
+    return out
+
+
 def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
     """CSR sparse times dense: out[i] = sum_e values[e] * dense[col[e]].
 
     Gradient flows to each of the edge values and the dense operand that
-    requires it; the other's is not computed. When ``_dense_pays``, the
-    entries are summed into a dense matrix A and the products are GEMMs;
-    otherwise the kernel accumulates in edge order, matching the sequential
-    reference exactly.
+    requires it; the other's is not computed. The backward is the adjoint
+    pair: the edge-value gradient is ``_sddmm`` of the output gradient with
+    the dense operand, and the dense gradient is ``_spmm`` over the
+    transposed entries.
     """
     offs = np.asarray(row_offsets, dtype=np.int64)
     cols = np.asarray(col_indices, dtype=np.int64)
@@ -542,46 +572,23 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
         raise DomainError("spmm: column index out of range")
     rows = np.repeat(np.arange(n_rows), np.diff(offs))
     vd, dd = values.data, dense.data
-    n_cols = dd.shape[0]
-
-    if _dense_pays(n_rows, n_cols, cols.size):
-        a = _densify(rows, cols, vd, n_rows, n_cols)
-
-        def bwd(g):
-            gv = (g @ dd.T)[rows, cols] if values.requires_grad else None
-            gd = a.T @ g if dense.requires_grad else None
-            return (gv, gd)
-
-        return _out(a @ dd, (values, dense), bwd, "spmm")
 
     def bwd(g):
-        # An entry whose row of g is all zero sends +-0 messages, and adding
-        # +-0 never changes a sum that starts at +0.0: only live entries are
-        # scattered, and the others get an edge-value gradient of 0.0.
-        live = np.flatnonzero(g.any(axis=1)[rows])
-        r, c = rows[live], cols[live]
-        gv = gd = None
-        if values.requires_grad:
-            gv = np.zeros(cols.size)
-            gv[live] = _edge_dot(g, dd, r, c)
-        if dense.requires_grad:
-            gd = _scatter_add(c, g, n_cols, r, vd[live])
+        gv = _sddmm(rows, cols, g, dd) if values.requires_grad else None
+        gd = _spmm(cols, rows, vd, g, dd.shape[0]) if dense.requires_grad else None
         return (gv, gd)
 
-    return _out(_scatter_add(rows, dd, n_rows, cols, vd), (values, dense), bwd, "spmm")
+    return _out(_spmm(rows, cols, vd, dd, n_rows), (values, dense), bwd, "spmm")
 
 
 def sddmm(rows, cols, u: Tensor, v: Tensor, product: np.ndarray | None = None) -> Tensor:
     """Sampled dense-dense product: out[e] = <u[rows[e]], v[cols[e]]>.
 
-    Gradient flows to both operands. When ``_dense_pays``,
-    the forward gathers from the GEMM u v^T and the backward sums the edge
-    gradients into a dense matrix and multiplies; ``sddmm(r, c, u, u)`` then
+    Gradient flows to both operands, each as the ``_spmm`` of the edge
+    gradients with the other operand. On the dense path ``sddmm(r, c, u, u)``
     takes numpy's symmetric product, so edges (i, j) and (j, i) score the
-    same bits. Otherwise edges are scored one by one, without forming u v^T
-    or copying endpoint rows onto the tape. A caller that already holds
-    u v^T passes it as ``product``, and the forward gathers from it on
-    either path; the backward is the same.
+    same bits. A caller that already holds u v^T passes it as ``product``,
+    and the forward gathers from it on either path; the backward is the same.
     """
     if u.data.ndim != 2 or v.data.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ShapeError(f"sddmm: incompatible operands {u.shape} and {v.shape}")
@@ -594,24 +601,10 @@ def sddmm(rows, cols, u: Tensor, v: Tensor, product: np.ndarray | None = None) -
     if product is not None and product.shape != (n_u, n_v):
         raise ShapeError(f"sddmm: product shape {product.shape} is not {(n_u, n_v)}")
 
-    if _dense_pays(n_u, n_v, ra.size):
-
-        def bwd(g):
-            gm = _densify(ra, ca, g, n_u, n_v)
-            return (gm @ vd, gm.T @ ud)
-
-        if product is None:
-            product = ud @ vd.T
-        return _out(product[ra, ca], (u, v), bwd, "sddmm")
-
     def bwd(g):
-        # A zero edge gradient sends +-0 messages, which change no sum (see
-        # spmm): only the edges with g[e] != 0 are scattered.
-        live = np.flatnonzero(g)
-        r, c, gl = ra[live], ca[live], g[live]
-        return (_scatter_add(r, vd, n_u, c, gl), _scatter_add(c, ud, n_v, r, gl))
+        return (_spmm(ra, ca, g, vd, n_u), _spmm(ca, ra, g, ud, n_v))
 
-    out = _edge_dot(ud, vd, ra, ca) if product is None else product[ra, ca]
+    out = _sddmm(ra, ca, ud, vd) if product is None else product[ra, ca]
     return _out(out, (u, v), bwd, "sddmm")
 
 

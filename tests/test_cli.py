@@ -533,6 +533,17 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         one_error_line(capsys, "meta.json: invalid JSON (Exceeds the limit")
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "1e999", "nan"])
+    def test_non_finite_bundle_feature_exit_one(self, tmp_path, capsys, bad):
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(**SBM_SPEC), bundle)
+        lines = (bundle / "features.csv").read_text().splitlines()
+        lines[3] = f"{bad},0,0,0"
+        (bundle / "features.csv").write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, dataset={"bundle": str(bundle)}, seeds=[0], epochs=2)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        one_error_line(capsys, "features.csv line 4: non-finite feature")
+
     def test_unallocatable_size_exit_one(self, tmp_path, capsys):
         # 10 x 10**15 float64 features is 71 PiB, past any address space, so
         # the allocation fails at once whatever the overcommit policy.

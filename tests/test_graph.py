@@ -177,6 +177,11 @@ class TestGraphInvariants:
         with pytest.raises(ConfigError, match="NaN"):
             tiny_graph(features=np.array([[np.nan, 0], [0, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_features_rejected(self, bad):
+        with pytest.raises(ConfigError, match="NaN or infinite"):
+            tiny_graph(features=np.array([[0, 0], [0, bad], [0, 0]]))
+
 
 class TestNormalization:
     def test_isolated_node(self):

@@ -548,9 +548,9 @@ class TestFusedMessageScatter:
 
 
 class TestZeroGradientSkips:
-    """The exact backward kernels leave out the entries whose gradient is
-    zero; the scattered gradients keep the bits of np.add.at over every
-    entry, and a left-out edge-value gradient reads 0.0."""
+    """The exact kernels leave out the entries whose messages are zero, in
+    the forward and in the backward; the scattered results keep the bits of
+    np.add.at over every entry, and a left-out inner product reads 0.0."""
 
     @staticmethod
     def spmm_case(width, seed):
@@ -586,6 +586,41 @@ class TestZeroGradientSkips:
         assert same_bits(dense.grad, add_at(cols, vals[:, None] * g[rows], 200))
         assert np.array_equal(values.grad, (g[rows] * dense0[cols]).sum(axis=1))
         assert same_bits(values.grad[~live], np.zeros((~live).sum()))
+
+    @pytest.mark.parametrize("width", [3, 130])
+    def test_spmm_forward_leaves_out_zero_messages(self, monkeypatch, width):
+        offsets, rows, cols, vals, dense, _ = self.spmm_case(width, 2)
+        vals[::5], vals[1::5] = 0.0, -0.0
+        dense[::6], dense[1::6] = 0.0, -0.0
+        live = (vals != 0) & dense.any(axis=1)[cols]
+        assert 0 < live.sum() < rows.size
+        seen = []
+        real = T._scatter_add
+        monkeypatch.setattr(T, "_scatter_add", lambda idx, *a: seen.append(idx.size) or real(idx, *a))
+        out = T.spmm(offsets, cols, T.constant(vals), T.constant(dense))
+        assert seen == [live.sum()]
+        assert same_bits(out.data, add_at(rows, vals[:, None] * dense[cols], 200))
+
+    @pytest.mark.parametrize("width", [3, 130])
+    def test_sddmm_forward_scores_zero_rows_positive_zero(self, monkeypatch, width):
+        rng = np.random.default_rng([width, 5])
+        ra = np.repeat(np.arange(120), 3)
+        ca = rng.integers(120, size=360)
+        assert not T._dense_pays(120, 120, 360)
+        u0, v0 = rng.normal(size=(120, width)), np.abs(rng.normal(size=(120, width)))
+        u0[::7] = -0.0  # its dot products with v0 would sum to -0.0
+        v0[::11], v0[5::11] = 0.0, -0.0
+        live = u0.any(axis=1)[ra] & v0.any(axis=1)[ca]
+        assert 0 < live.sum() < ra.size
+        seen = []
+        real = T._edge_dot
+        monkeypatch.setattr(
+            T, "_edge_dot", lambda a, b, r, c: seen.append(r.size) or real(a, b, r, c)
+        )
+        out = T.sddmm(ra, ca, T.constant(u0), T.constant(v0)).data
+        assert seen == [live.sum()]
+        assert same_bits(out[~live], np.zeros((~live).sum()))
+        assert same_bits(out[live], (u0[ra] * v0[ca]).sum(axis=1)[live])
 
     @staticmethod
     def sddmm_grads(ra, ca, u0, v0, g):
