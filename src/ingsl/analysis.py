@@ -22,6 +22,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DomainError, MetricError
 from .gnn import spectral_norm
+from .gsl import _first_k
 
 BOUND_TOL = 1e-9
 _LEMMA2_MAX_NEIGHBORS = 8
@@ -219,9 +220,15 @@ def redundancy_profile(e, k_values) -> list[tuple[int, float]]:
     if max(k_values) >= n:
         raise ConfigError(f"max k must be < {n}, the number of non-zero rows")
     unit = data / np.linalg.norm(data, axis=1)[:, None]
-    sim = unit @ unit.T
-    np.fill_diagonal(sim, -np.inf)
-    order = np.argsort(-sim, axis=1, kind="stable")
+    # The first max(k) columns of each row's stable ascending sort of -sim
+    # (ties to the smaller column), without sorting the whole row: take
+    # that set, order it by column, then stably by value.
+    neg = unit @ unit.T
+    np.negative(neg, out=neg)
+    np.fill_diagonal(neg, np.inf)
+    cols = np.sort(_first_k(neg, max(k_values)), axis=1)
+    vals = np.take_along_axis(neg, cols, axis=1)
+    order = np.take_along_axis(cols, np.argsort(vals, axis=1, kind="stable"), axis=1)
 
     out: list[tuple[int, float]] = []
     for k in k_values:

@@ -262,30 +262,31 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for seed in cfg.seeds
     ]
     threads = _thread_count()
-    if threads == 1:
-        cells = [run_cell(cfg, base, *job) for job in jobs]
-    else:
-        # numpy's error state is per thread and pool threads start from the
-        # default, so each cell runs under the caller's, as in the serial path.
-        err = np.geterr()
+    # Every cell runs BLAS at one thread, serial or pooled, so a report's bits
+    # do not depend on whether the BLAS gives the same bits at one thread as
+    # at several; at these sizes a second BLAS thread buys nothing anyway.
+    # The setter is meant to be thread-local, but numpy's OpenBLAS 0.3.31
+    # wheel applies it process-wide, so the caller pins too and restores its
+    # own count afterwards. Without the setter BLAS runs at its default.
+    set_blas = _blas_thread_setter()
+    caller_threads = None if set_blas is None else set_blas(1)
+    try:
+        if threads == 1:
+            cells = [run_cell(cfg, base, *job) for job in jobs]
+        else:
+            # numpy's error state is per thread and pool threads start from the
+            # default, so each cell runs under the caller's, as in the serial path.
+            err = np.geterr()
 
-        def cell(job):
-            with np.errstate(**err):
-                return run_cell(cfg, base, *job)
+            def cell(job):
+                with np.errstate(**err):
+                    return run_cell(cfg, base, *job)
 
-        # Each pool thread runs BLAS at one thread: at these sizes a second
-        # BLAS thread per cell buys nothing and oversubscribes the cores.
-        # The setter is meant to be thread-local, but numpy's OpenBLAS 0.3.31
-        # wheel applies it process-wide, so the caller pins too and restores
-        # its own count afterwards.
-        set_blas = _blas_thread_setter()
-        caller_threads = None if set_blas is None else set_blas(1)
-        try:
             with ThreadPoolExecutor(threads, initializer=set_blas, initargs=(1,)) as pool:
                 cells = list(pool.map(cell, jobs))
-        finally:
-            if set_blas is not None:
-                set_blas(caller_threads)
+    finally:
+        if set_blas is not None:
+            set_blas(caller_threads)
 
     aggregates: dict[str, dict] = {}
     for mode in cfg.modes:

@@ -180,7 +180,7 @@ def normalize_entries(
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    if weights.data.ndim != 1 or weights.shape[0] != src.shape[0] != dst.shape[0]:
+    if weights.data.ndim != 1 or not weights.shape[0] == src.shape[0] == dst.shape[0]:
         raise ConfigError("weights must be 1-D and aligned with src/dst")
     if (weights.data < 0).any():
         raise DomainError("negative edge weight passed to normalization")
@@ -357,6 +357,11 @@ def load_bundle(path) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+# generate_sbm draws the node pairs in blocks of rows spanning at most this
+# many cells, so its memory grows with n times the block, not with n^2.
+_SBM_BLOCK = 1 << 16
+
+
 def generate_sbm(
     block_sizes,
     p_in: float,
@@ -387,10 +392,18 @@ def generate_sbm(
     n = sum(block_sizes)
     labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
 
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.shape[0]) < prob
-    edges = np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
+    # The pairs i < j in row-major order, drawn a block of rows at a time:
+    # consecutive draws from one generator give the same doubles as a single
+    # draw, so the edges do not depend on the block size.
+    step = max(1, _SBM_BLOCK // n)
+    parts = []
+    for lo in range(0, n, step):
+        iu, ju = np.triu_indices(min(step, n - lo), k=lo + 1, m=n)
+        iu += lo
+        prob = np.where(labels[iu] == labels[ju], p_in, p_out)
+        keep = rng.random(iu.shape[0]) < prob
+        parts.append(np.stack([iu[keep], ju[keep]], axis=1))
+    edges = np.concatenate(parts).astype(np.int64, copy=False)
 
     features = rng.normal(0.0, 1.0, size=(n, feature_dim)) * float(feature_noise)
     features[np.arange(n), labels % feature_dim] += 1.0

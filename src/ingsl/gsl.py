@@ -40,6 +40,12 @@ def encode_structure(
 METRICS = ("inner", "cosine")
 
 
+# _first_k works on blocks of rows that span at most this many cells, so its
+# index array and masks stay small beside the n x n similarity. A 200-node
+# graph is one block.
+_RANK_BLOCK = 1 << 16
+
+
 def _first_k(neg: np.ndarray, k: int) -> np.ndarray:
     """Per row, the columns of the first k entries of a stable ascending
     sort: the k smallest, ties toward the smaller column, NaN last.
@@ -47,14 +53,21 @@ def _first_k(neg: np.ndarray, k: int) -> np.ndarray:
     A partition finds k smallest entries per row. A row whose k-th smallest
     value v has exactly k entries ``<= v`` has one such set, so the
     partition's columns are the sort's. Any other row has ties straddling
-    the boundary, or a NaN, and only those rows are stably sorted.
+    the boundary, or a NaN, and only those rows are stably sorted. Rows are
+    independent, so they are ranked in blocks of ``_RANK_BLOCK`` cells.
     """
-    part = np.argpartition(neg, k - 1, axis=1)[:, :k]
-    kth = neg[np.arange(neg.shape[0]), part[:, k - 1]]
-    tied = np.flatnonzero(np.count_nonzero(neg <= kth[:, None], axis=1) != k)
-    if tied.size:
-        part[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
-    return part
+    n_rows, n_cols = neg.shape
+    out = np.empty((n_rows, k), dtype=np.intp)
+    step = max(1, _RANK_BLOCK // n_cols)
+    for lo in range(0, n_rows, step):
+        block = neg[lo : lo + step]
+        part = np.argpartition(block, k - 1, axis=1)[:, :k]
+        kth = block[np.arange(block.shape[0]), part[:, k - 1]]
+        tied = np.flatnonzero(np.count_nonzero(block <= kth[:, None], axis=1) != k)
+        if tied.size:
+            part[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, :k]
+        out[lo : lo + step] = part
+    return out
 
 
 def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGraph:

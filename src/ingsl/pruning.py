@@ -413,44 +413,53 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
         since_best = 0
         return False
 
+    def train_epoch(epoch: int) -> bool:
+        """One taped forward, backward and Adam step; True once patience runs
+        out. Its locals, the consumed tape included, die on return, so
+        nothing of this epoch is alive while the next forward runs."""
+        nonlocal at
+        with T.Tape() as tape:
+            fwd = forward(epoch)
+            if epoch > 0 and not redraws and evaluate(epoch - 1, fwd):
+                return True
+            at = epoch
+            _, cand, s_t, _, z_t, logits = fwd
+            loss = task_loss(logits, g.labels, g.train_mask)
+            if cfg.lam > 0:
+                rows, cols = s_t.directed_pairs()
+                reg = feature_smoothness(s_t.values, rows, cols, g.features)
+                loss = gsl_objective(loss, reg, cfg.lam)
+            if scorer is not None and cfg.beta > 0:
+                adj_full = fuse_with_original(g, cand, cfg.residual_weight)
+                # Representations only: the contrastive term never reads logits.
+                z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
+                # Rows zeroed by dead ReLU units have no cosine; restrict
+                # the contrastive term to the rows nonzero in both views.
+                good = np.flatnonzero(T.nonzero_rows(z_t.data) & T.nonzero_rows(z_full.data))
+                if good.size >= 2:
+                    rng_mi = np.random.default_rng([cfg.seed, 3, epoch])
+                    ids = sample_batch(good.size, min(batch_size, good.size), rng_mi)
+                    mi = mi_loss(T.gather_rows(z_t, good), T.gather_rows(z_full, good), ids)
+                    loss = total_loss(loss, mi, cfg.beta)
+            if not np.isfinite(loss.data):
+                raise NumericError("loss is not finite")
+            T.backward(loss, tape)
+        grads = {
+            name: (p.grad if p.grad is not None else np.zeros(p.shape))
+            for name, p in state.params.items()
+        }
+        adam_step(state, grads, cfg.lr)
+        T.zero_grads(named.values())
+        return False
+
     # Each taped forward runs on the previous epoch's parameters, so unless the
     # mode redraws it also evaluates that epoch, and its failures name it.
     epochs_run = at = 0
     try:
         for epoch in range(cfg.epochs):
             at = max(epoch - 1, 0)
-            with T.Tape() as tape:
-                fwd = forward(epoch)
-                if epoch > 0 and not redraws and evaluate(epoch - 1, fwd):
-                    break
-                at = epoch
-                _, cand, s_t, _, z_t, logits = fwd
-                loss = task_loss(logits, g.labels, g.train_mask)
-                if cfg.lam > 0:
-                    rows, cols = s_t.directed_pairs()
-                    reg = feature_smoothness(s_t.values, rows, cols, g.features)
-                    loss = gsl_objective(loss, reg, cfg.lam)
-                if scorer is not None and cfg.beta > 0:
-                    adj_full = fuse_with_original(g, cand, cfg.residual_weight)
-                    # Representations only: the contrastive term never reads logits.
-                    z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
-                    # Rows zeroed by dead ReLU units have no cosine; restrict
-                    # the contrastive term to the rows nonzero in both views.
-                    good = np.flatnonzero(T.nonzero_rows(z_t.data) & T.nonzero_rows(z_full.data))
-                    if good.size >= 2:
-                        rng_mi = np.random.default_rng([cfg.seed, 3, epoch])
-                        ids = sample_batch(good.size, min(batch_size, good.size), rng_mi)
-                        mi = mi_loss(T.gather_rows(z_t, good), T.gather_rows(z_full, good), ids)
-                        loss = total_loss(loss, mi, cfg.beta)
-                if not np.isfinite(loss.data):
-                    raise NumericError("loss is not finite")
-                T.backward(loss, tape)
-            grads = {
-                name: (p.grad if p.grad is not None else np.zeros(p.shape))
-                for name, p in state.params.items()
-            }
-            adam_step(state, grads, cfg.lr)
-            T.zero_grads(named.values())
+            if train_epoch(epoch):
+                break
             epochs_run = epoch + 1
             if redraws and evaluate(epoch, forward(epoch)):
                 break

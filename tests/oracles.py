@@ -159,3 +159,45 @@ def cone_sample_row(anchor, c, w):
         return anchor.copy()
     w /= norm
     return c * anchor + np.sqrt(max(0.0, 1.0 - c * c)) * w
+
+
+def sbm_unblocked(block_sizes, p_in, p_out, feature_dim, feature_noise, seed):
+    """Edges, features and (train, val, test) masks of a stochastic block
+    model drawn over all of ``np.triu_indices`` in one call, the way
+    ``graph.generate_sbm`` drew them before it worked in row blocks."""
+    rng = np.random.default_rng(seed)
+    n = sum(block_sizes)
+    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = rng.random(iu.shape[0]) < prob
+    edges = np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
+    features = rng.normal(0.0, 1.0, size=(n, feature_dim)) * float(feature_noise)
+    features[np.arange(n), labels % feature_dim] += 1.0
+    masks = [np.zeros(n, bool) for _ in range(3)]
+    for c in range(len(block_sizes)):
+        ids = np.flatnonzero(labels == c)
+        rng.shuffle(ids)
+        n_tr = max(1, int(0.1 * ids.size))
+        n_va = max(1, int(0.1 * ids.size))
+        masks[0][ids[:n_tr]] = True
+        masks[1][ids[n_tr : n_tr + n_va]] = True
+        masks[2][ids[n_tr + n_va :]] = True
+    return edges, features, tuple(masks)
+
+
+def redundancy_profile_argsort(e, k_values):
+    """Mean over non-zero rows of the pairwise cosine among each row's top-k
+    cosine neighbours, ranked by a full stable argsort of every similarity
+    row (ties to the smaller column) and averaged by ``pairwise_cos_loop``."""
+    data = np.asarray(e, dtype=np.float64)
+    data = data[np.linalg.norm(data, axis=1) >= 1e-12]
+    unit = data / np.linalg.norm(data, axis=1)[:, None]
+    sim = unit @ unit.T
+    np.fill_diagonal(sim, -np.inf)
+    order = np.argsort(-sim, axis=1, kind="stable")
+    return [
+        (k, float(np.mean([pairwise_cos_loop(data[row[:k]]) for row in order])))
+        if k >= 2 else (k, float("nan"))
+        for k in k_values
+    ]

@@ -16,7 +16,7 @@ from ingsl.analysis import (
 from ingsl.errors import ConfigError, DomainError, MetricError
 from ingsl.gnn import spectral_norm
 
-from oracles import cone_sample_row, pairwise_cos_loop, softmax_ce
+from oracles import cone_sample_row, pairwise_cos_loop, redundancy_profile_argsort, softmax_ce
 
 
 class TestAvgPairwiseSimilarity:
@@ -197,6 +197,25 @@ class TestRedundancyProfile:
         values = [v for _, v in profile]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
         assert values[0] > values[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(4, 30), st.integers(1, 3))
+    def test_matches_full_argsort_oracle_under_ties(self, seed, n, d):
+        # Low-resolution integer rows tie often, at the top-k boundary and
+        # inside it, so the order of the selected columns matters for every
+        # k below the largest.
+        rng = np.random.default_rng(seed)
+        e = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        e[rng.integers(0, n)] = 0.0
+        kept = int((np.linalg.norm(e, axis=1) >= 1e-12).sum())
+        if kept < 3:
+            return
+        k_values = sorted({1, 2, (kept + 1) // 2, kept - 1})
+        got = redundancy_profile(e, k_values)
+        want = redundancy_profile_argsort(e, k_values)
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert (np.isnan(a) and np.isnan(b)) or abs(a - b) <= 1e-12
 
     def test_invariant_under_row_rescaling(self):
         rng = np.random.default_rng(3)

@@ -367,6 +367,58 @@ class TestTrainCommand:
         finally:
             set_blas(prev)
 
+    def test_serial_cells_run_at_one_blas_thread(self, monkeypatch):
+        set_blas, get_blas = blas_thread_functions()
+        seen = []
+        real_run_cell = cli.run_cell
+
+        def run_cell(*args):
+            seen.append(get_blas())
+            return real_run_cell(*args)
+
+        monkeypatch.setattr(cli, "run_cell", run_cell)
+        monkeypatch.setenv("INGSL_THREADS", "1")
+        prev = set_blas(2)
+        try:
+            cli.run_experiment(parse_config(base_config(seeds=[0, 1], epochs=2)))
+            assert seen == [1, 1, 1, 1]
+            assert get_blas() == 2
+        finally:
+            set_blas(prev)
+
+    def test_wide_cells_train_the_same_bits_serial_and_pooled(self, monkeypatch):
+        # At hidden 400 OpenBLAS gives different GEMM bits at one and at two
+        # threads, so the trained parameters agree only because every cell,
+        # serial or pooled, runs BLAS at one thread.
+        set_blas, _ = blas_thread_functions()
+        sbm = {"block_sizes": [50] * 4, "p_in": 0.1, "p_out": 0.01, "feature_dim": 8,
+               "feature_noise": 1.0, "seed": 0}
+        cfg = parse_config(base_config(
+            dataset={"sbm": sbm}, modes=["ingsl"], seeds=[0, 1], k=30, hidden=400,
+            metric="cosine", epochs=3, patience=3,
+        ))
+        params = {}
+        real_train = cli.train_ingsl
+
+        def capture(g, tcfg):
+            result = real_train(g, tcfg)
+            params[threads, tcfg.seed] = {n: p.data.copy() for n, p in result.params.items()}
+            return result
+
+        monkeypatch.setattr(cli, "train_ingsl", capture)
+        prev = set_blas(2)
+        try:
+            for threads in ("1", "2"):
+                monkeypatch.setenv("INGSL_THREADS", threads)
+                cli.run_experiment(cfg)
+        finally:
+            set_blas(prev)
+        for seed in (0, 1):
+            serial, pooled = params["1", seed], params["2", seed]
+            assert serial.keys() == pooled.keys()
+            for name in serial:
+                assert np.array_equal(serial[name], pooled[name]), name
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, seeds=[0, 1, 2], modes=["random_prune"])
         out = tmp_path / "out"

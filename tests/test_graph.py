@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingsl import graph as graph_module
 from ingsl import tensor as T
 from ingsl.errors import CapacityError, ConfigError, MetricError, ParseError
 from ingsl.graph import (
@@ -17,7 +20,7 @@ from ingsl.graph import (
     save_bundle,
 )
 
-from oracles import dense_normalize
+from oracles import dense_normalize, sbm_unblocked
 
 
 def tiny_graph(n=3, edges=((0, 1), (1, 2)), labels=None, features=None, classes=None):
@@ -243,6 +246,13 @@ class TestNormalizeOracle:
         with pytest.raises(DomainError):
             normalize_entries(2, np.array([0]), np.array([1]), T.constant([-1.0]))
 
+    @pytest.mark.parametrize("n_src,n_dst,n_w", [(5, 4, 5), (4, 4, 5)])
+    def test_misaligned_entries_rejected(self, n_src, n_dst, n_w):
+        src = np.arange(n_src) % 3
+        dst = (np.arange(n_dst) + 1) % 3
+        with pytest.raises(ConfigError, match="aligned"):
+            normalize_entries(3, src, dst, T.constant(np.ones(n_w)))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(4, 16))
     def test_oracle_property(self, seed, n):
@@ -310,6 +320,39 @@ class TestSBM:
     def test_bad_probability(self):
         with pytest.raises(ConfigError):
             generate_sbm([5, 5], 1.5, 0.0, 2, 0.0, seed=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.integers(3, 25), min_size=1, max_size=4),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.sampled_from([0.0, 0.05, 0.5]),
+        st.integers(1, 4),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 200),
+    )
+    def test_blocked_draw_equals_one_draw(self, sizes, p_in, p_out, dim, seed, block):
+        # Blocks of a few rows up to one block for the whole graph: the
+        # edges, features and masks are those of a single triu draw.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_SBM_BLOCK", block)
+            g = generate_sbm(sizes, p_in, p_out, dim, 0.5, seed)
+        edges, features, masks = sbm_unblocked(sizes, p_in, p_out, dim, 0.5, seed)
+        assert g.edges.dtype == np.int64 and np.array_equal(g.edges, edges)
+        assert np.array_equal(g.features, features)
+        for got, want in zip((g.train_mask, g.val_mask, g.test_mask), masks):
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_is_not_quadratic(self):
+        # One triu draw held about 16 bytes per node pair (2.06 x 8 n^2 at
+        # n = 2000); blocked, the generator's peak stays far below that.
+        n = 2000
+        tracemalloc.start()
+        try:
+            generate_sbm([n // 4] * 4, 0.05, 0.01, 16, 1.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 8 * n * n
 
 
 class TestStructuralNoise:

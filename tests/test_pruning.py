@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -601,6 +602,24 @@ class TestTraining:
         cfg = self.config(mode=mode, lam=lam, epochs=6, patience=6)
         train_ingsl(self.small_graph(), cfg)
         assert counts == [unreachable] * cfg.epochs
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nothing_of_the_last_epoch_survives_into_the_next_forward(self, monkeypatch, mode):
+        # When a forward starts, the previous taped epoch's tape, encoder
+        # output and everything built from them have been freed.
+        real = pruning._structure_for_epoch
+        probes, alive = [], []
+
+        def probing(*args):
+            alive.append([p() is not None for p in probes])
+            out = real(*args)
+            if T.active_tape() is not None:
+                probes[:] = [weakref.ref(T.active_tape()), weakref.ref(out[0].data)]
+            return out
+
+        monkeypatch.setattr(pruning, "_structure_for_epoch", probing)
+        train_ingsl(self.small_graph(), self.config(mode=mode, epochs=4, patience=4))
+        assert len(alive) >= 5 and not any(any(a) for a in alive)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("bad_epoch", [4, 9])
