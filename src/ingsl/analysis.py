@@ -9,13 +9,17 @@ Bound 2: if a node's neighbors share its representation norm and have cosine
 loss by at most 2*B*||W_c||_2*sqrt(1-eps).
 
 Trials derive their randomness from (seed, trial index), so results are
-independent of execution order. Each trial draws all of its neighbors in one
-``sample_cone`` call.
+independent of execution order. Each trial is drawn on its own generator, in
+the order ``sample_cone`` draws; the bounds are then evaluated for a block of
+trials at once, by elementwise products and segment sums and one stacked SVD,
+so no result depends on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -50,23 +54,32 @@ class LemmaReport:
         }
 
 
+def _mean_pair_cosines(vectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean cosine over the unordered pairs within each run of ``counts[i]``
+    consecutive rows (each at least 2), from segment sums of the unit rows."""
+    norms = np.linalg.norm(vectors, axis=1)
+    if not T.nonzero_rows(vectors, norms).all():
+        raise MetricError("pairwise similarity undefined for zero rows")
+    unit = vectors / norms[:, None]
+    starts = np.cumsum(counts) - counts
+    # |sum u|^2 = sum |u_i|^2 + 2 * (sum over pairs)
+    total = np.add.reduceat(unit, starts, axis=0)
+    squares = np.add.reduceat((unit * unit).sum(axis=1), starts)
+    return ((total * total).sum(axis=1) - squares) / (counts * (counts - 1))
+
+
 def avg_pairwise_similarity(vectors) -> float:
     """Mean cosine over all unordered pairs of rows."""
     data = vectors.data if isinstance(vectors, T.Tensor) else np.asarray(vectors, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise MetricError("pairwise similarity needs at least two vectors")
-    norms = np.linalg.norm(data, axis=1)
-    if not T.nonzero_rows(data, norms).all():
-        raise MetricError("pairwise similarity undefined for zero rows")
-    unit = data / norms[:, None]
-    total = unit.sum(axis=0)  # |sum u|^2 = sum |u_i|^2 + 2 * (sum over pairs)
-    n = data.shape[0]
-    return float((total @ total - np.einsum("ij,ij->", unit, unit)) / (n * (n - 1)))
+    return float(_mean_pair_cosines(data, np.array([data.shape[0]]))[0])
 
 
-def lemma1_bound(n_neighbors: int, eps: float) -> float:
-    """(N*eps^2 - 1)/(N - 1), the floor on average pairwise neighbor cosine."""
-    if n_neighbors < 2:
+def lemma1_bound(n_neighbors, eps):
+    """(N*eps^2 - 1)/(N - 1), the floor on average pairwise neighbor cosine;
+    elementwise over arrays of N and eps."""
+    if np.any(np.less(n_neighbors, 2)):
         raise DomainError("the bound needs at least two neighbors")
     return (n_neighbors * eps * eps - 1.0) / (n_neighbors - 1.0)
 
@@ -74,14 +87,24 @@ def lemma1_bound(n_neighbors: int, eps: float) -> float:
 def _unit_sphere(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v @ v)
         if norm > 1e-12:
             return v / norm
 
 
+def _cone_draws(rng: np.random.Generator, eps: float, n: int, dim: int):
+    """The cosines c, uniform in [eps, 1], then the raw directions w of n cone points."""
+    return rng.uniform(eps, 1.0, n), rng.standard_normal((n, dim))
+
+
 def cone_points(anchor: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows c*anchor + sqrt(1-c^2)*unit(w ⟂ anchor), or the anchor where |w ⟂ anchor| < 1e-12."""
-    w = w - np.outer(w @ anchor, anchor)
+    """Rows c*anchor + sqrt(1-c^2)*unit(w ⟂ anchor), or the anchor where |w ⟂ anchor| < 1e-12.
+
+    ``anchor`` holds one unit anchor per row of ``w``; a single 1-D anchor
+    serves every row. Only elementwise products and row sums are used, so
+    the result does not depend on the BLAS library or its thread count.
+    """
+    w = w - (w * anchor).sum(axis=1, keepdims=True) * anchor
     norm = np.linalg.norm(w, axis=1, keepdims=True)
     flat = norm < 1e-12
     w /= np.where(flat, 1.0, norm)
@@ -91,7 +114,102 @@ def cone_points(anchor: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def sample_cone(rng: np.random.Generator, anchor: np.ndarray, eps: float, n: int) -> np.ndarray:
     """n unit vectors with cosine >= eps to the unit anchor, c uniform in [eps, 1]."""
-    return cone_points(anchor, rng.uniform(eps, 1.0, n), rng.standard_normal((n, len(anchor))))
+    return cone_points(anchor, *_cone_draws(rng, eps, n, len(anchor)))
+
+
+# Each sampling range's domain: a test on (low, high) and its wording.
+_COUNT_DOMAIN = (lambda lo, hi: 2 <= lo <= hi, "2 <= low <= high")
+_RANGE_DOMAINS = {
+    "dim_range": _COUNT_DOMAIN,
+    "n_range": _COUNT_DOMAIN,
+    "class_range": _COUNT_DOMAIN,
+    "eps_range": (lambda lo, hi: 0 <= lo <= hi <= 1, "0 <= low <= high <= 1"),
+    "b_range": (lambda lo, hi: 0 < lo <= hi, "0 < low <= high"),
+}
+
+
+def _check_sampling(trials: int, **ranges) -> None:
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    for name, (lo, hi) in ranges.items():
+        ok, wording = _RANGE_DOMAINS[name]
+        if not ok(lo, hi):
+            raise ConfigError(f"infeasible {name} [{lo}, {hi}]: need {wording}")
+
+
+# Float64 cells in the widest array of one block of lemma trials: 2^13
+# cells, 64 KB. A block holds about eight such arrays at its peak. Blocks of
+# 2^14 cells ran no faster on verify rounds but raised their peak RSS by
+# 1.3 MB; 2^12 cells leave about 5 trials per Lemma-1 block. A trial larger
+# than the budget is a block of its own.
+_BLOCK_CELLS = 1 << 13
+
+
+def _blocks(trials: int, draw, cells) -> Iterator[list]:
+    """The draws ``draw(t)`` for t in range(trials), in order, grouped so the
+    ``cells`` of each block's trials sum to at most _BLOCK_CELLS."""
+    block: list = []
+    used = 0
+    for t in range(trials):
+        trial = draw(t)
+        size = cells(trial)
+        if block and used + size > _BLOCK_CELLS:
+            yield block
+            block, used = [], 0
+        block.append(trial)
+        used += size
+    if block:
+        yield block
+
+
+def _stack_rows(arrays, width: int) -> np.ndarray:
+    """The rows of the 2-D ``arrays`` stacked in order, zero-padded to ``width`` columns."""
+    out = np.zeros((sum(a.shape[0] for a in arrays), width))
+    r = 0
+    for a in arrays:
+        out[r : r + a.shape[0], : a.shape[1]] = a
+        r += a.shape[0]
+    return out
+
+
+def _stack_padded(arrays, shape: tuple[int, ...]) -> np.ndarray:
+    """A zero array of ``shape`` whose i-th entry holds ``arrays[i]`` in its leading corner."""
+    out = np.zeros(shape)
+    for o, a in zip(out, arrays):
+        o[tuple(slice(0, k) for k in a.shape)] = a
+    return out
+
+
+def _report(trials: int, margins: Iterator[np.ndarray], config: dict) -> LemmaReport:
+    violations = 0
+    worst = np.inf
+    for m in margins:
+        violations += int(np.count_nonzero(m < -BOUND_TOL))
+        worst = min(worst, float(np.minimum.reduce(m)))
+    return LemmaReport(trials=trials, violations=violations, max_slack=worst, config=config)
+
+
+def _lemma1_margins(trials, dim_range, n_range, eps_range, seed) -> Iterator[np.ndarray]:
+    """Signed margins observed - floor of each trial, one array per block."""
+
+    def draw(t):
+        rng = np.random.default_rng([seed, t])
+        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        eps = rng.uniform(eps_range[0], eps_range[1])
+        anchor = _unit_sphere(rng, dim)
+        return (n, eps, anchor, *_cone_draws(rng, eps, n, dim))
+
+    for block in _blocks(trials, draw, lambda trial: trial[0] * dim_range[1]):
+        n, eps, anchors, c, w = zip(*block)
+        n = np.array(n)
+        width = max(a.shape[0] for a in anchors)
+        u = cone_points(
+            np.repeat(_stack_padded(anchors, (len(block), width)), n, axis=0),
+            np.concatenate(c),
+            _stack_rows(w, width),
+        )
+        yield _mean_pair_cosines(u, n) - lemma1_bound(n, np.array(eps))
 
 
 def lemma1_check(
@@ -102,30 +220,11 @@ def lemma1_check(
     seed: int = 0,
 ) -> LemmaReport:
     """Sample neighbor cones and verify the average-similarity floor."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if n_range[0] < 2 or dim_range[0] < 2 or not (0 <= eps_range[0] <= eps_range[1] <= 1):
-        raise ConfigError("infeasible sampling ranges")
-    violations = 0
-    worst = np.inf
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        eps = rng.uniform(eps_range[0], eps_range[1])
-        anchor = _unit_sphere(rng, dim)
-        neighbors = sample_cone(rng, anchor, eps, n)
-        observed = avg_pairwise_similarity(neighbors)
-        margin = observed - lemma1_bound(n, eps)
-        if margin < worst:
-            worst = margin
-        if margin < -BOUND_TOL:
-            violations += 1
-    return LemmaReport(
-        trials=trials,
-        violations=violations,
-        max_slack=float(worst),
-        config={
+    _check_sampling(trials, dim_range=dim_range, n_range=n_range, eps_range=eps_range)
+    return _report(
+        trials,
+        _lemma1_margins(trials, dim_range, n_range, eps_range, seed),
+        {
             "dim_range": list(dim_range),
             "n_range": list(n_range),
             "eps_range": list(eps_range),
@@ -134,10 +233,59 @@ def lemma1_check(
     )
 
 
-def _cross_entropy(z: np.ndarray, w: np.ndarray, label: int) -> float:
-    logits = z @ w
-    m = logits.max()
-    return float(m + np.log(np.exp(logits - m).sum()) - logits[label])
+def _cross_entropy(z: np.ndarray, w: np.ndarray, classes: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Softmax cross-entropy of each row of logits z[b] @ w[b] over its first
+    ``classes[b]`` columns, at ``labels[b]``."""
+    logits = (z[:, :, None] * w).sum(axis=1)
+    logits[np.arange(logits.shape[1]) >= classes[:, None]] = -np.inf
+    m = np.maximum.reduce(logits, axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return lse - logits[np.arange(logits.shape[0]), labels]
+
+
+def _lemma2_margins(trials, dim_range, class_range, eps_range, b_range, seed) -> Iterator[np.ndarray]:
+    """Signed margins ceiling - |loss change| of each trial, one array per block."""
+
+    def draw(t):
+        rng = np.random.default_rng([seed, 1, t])
+        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        classes = int(rng.integers(class_range[0], class_range[1] + 1))
+        n = int(rng.integers(1, _LEMMA2_MAX_NEIGHBORS + 1))
+        eps = rng.uniform(eps_range[0], eps_range[1])
+        b_norm = rng.uniform(b_range[0], b_range[1])
+        rho = rng.uniform(0.0, 1.0) * b_norm
+        anchor = _unit_sphere(rng, dim)
+        c, w = _cone_draws(rng, eps, n, dim)
+        weights = rng.uniform(0.0, 1.0, n)
+        w_c = rng.standard_normal((dim, classes))
+        return n, eps, b_norm, rho, anchor, c, w, weights, w_c, int(rng.integers(classes))
+
+    width = dim_range[1] * max(class_range[1], _LEMMA2_MAX_NEIGHBORS)
+    for block in _blocks(trials, draw, lambda trial: width):
+        n, eps, b_norm, rho, anchors, c, w, weights, w_c, labels = zip(*block)
+        n, eps, b_norm, rho = np.array(n), np.array(eps), np.array(b_norm), np.array(rho)
+        dim = max(a.shape[0] for a in anchors)
+        classes = np.array([m.shape[1] for m in w_c])
+        starts = np.cumsum(n) - n
+        anchors = _stack_padded(anchors, (len(block), dim))
+        neighbors = cone_points(np.repeat(anchors, n, axis=0), np.concatenate(c), _stack_rows(w, dim))
+        neighbors *= np.repeat(rho, n)[:, None]
+        # Aggregation weights sum to one per trial; they are uniform where a
+        # trial's draws are all zero.
+        weights = np.concatenate(weights)
+        total = np.add.reduceat(weights, starts)
+        flat = total <= 0
+        weights[np.repeat(flat, n)] = 1.0
+        total[flat] = n[flat]
+        weights /= np.repeat(total, n)
+        z_next = np.add.reduceat(weights[:, None] * neighbors, starts, axis=0)
+        z_i = rho[:, None] * anchors
+
+        w_c = _stack_padded(w_c, (len(block), dim, int(classes.max())))
+        labels = np.array(labels)
+        lhs = np.abs(_cross_entropy(z_next, w_c, classes, labels) - _cross_entropy(z_i, w_c, classes, labels))
+        rhs = 2.0 * b_norm * spectral_norm(w_c) * np.sqrt(1.0 - eps)
+        yield rhs - lhs
 
 
 def lemma2_check(
@@ -154,43 +302,13 @@ def lemma2_check(
     (0, B]; neighbors sit in the cosine cone around the anchor and the
     aggregation weights are non-negative and sum to one.
     """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if dim_range[0] < 2 or class_range[0] < 2 or b_range[0] <= 0:
-        raise ConfigError("infeasible sampling ranges")
-    violations = 0
-    worst = np.inf
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 1, t])
-        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
-        classes = int(rng.integers(class_range[0], class_range[1] + 1))
-        n = int(rng.integers(1, _LEMMA2_MAX_NEIGHBORS + 1))
-        eps = rng.uniform(eps_range[0], eps_range[1])
-        b_norm = rng.uniform(b_range[0], b_range[1])
-        rho = rng.uniform(0.0, 1.0) * b_norm
-
-        anchor_dir = _unit_sphere(rng, dim)
-        z_i = rho * anchor_dir
-        neighbors = rho * sample_cone(rng, anchor_dir, eps, n)
-        weights = rng.uniform(0.0, 1.0, n)
-        total = weights.sum()
-        weights = np.full(n, 1.0 / n) if total <= 0 else weights / total
-        z_next = weights @ neighbors
-
-        w_c = rng.standard_normal((dim, classes))
-        label = int(rng.integers(classes))
-        lhs = abs(_cross_entropy(z_next, w_c, label) - _cross_entropy(z_i, w_c, label))
-        rhs = 2.0 * b_norm * spectral_norm(w_c) * np.sqrt(1.0 - eps)
-        margin = rhs - lhs
-        if margin < worst:
-            worst = margin
-        if margin < -BOUND_TOL:
-            violations += 1
-    return LemmaReport(
-        trials=trials,
-        violations=violations,
-        max_slack=float(worst),
-        config={
+    _check_sampling(
+        trials, dim_range=dim_range, class_range=class_range, eps_range=eps_range, b_range=b_range
+    )
+    return _report(
+        trials,
+        _lemma2_margins(trials, dim_range, class_range, eps_range, b_range, seed),
+        {
             "dim_range": list(dim_range),
             "class_range": list(class_range),
             "eps_range": list(eps_range),

@@ -408,10 +408,14 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     ]
 
     def weighted(op, leaves):
+        weight = None  # the constant 1, 2, ... in the output's shape, built on the first call
+
         def objective(*xs):
+            nonlocal weight
             out = op(*xs)
-            w = np.arange(1.0, out.size + 1).reshape(out.shape)
-            return T.sum_all(T.mul(out, T.constant(w)))
+            if weight is None:
+                weight = T.constant(np.arange(1.0, out.size + 1).reshape(out.shape))
+            return T.sum_all(T.mul(out, weight))
 
         return lambda: T.gradient_check(objective, leaves)
 

@@ -152,13 +152,17 @@ def flops_estimate(adj_edge_count: int, layer_dims: list[int], n: int) -> int:
     return total
 
 
-def spectral_norm(w: np.ndarray) -> float:
-    """Largest singular value, exact to rounding."""
+def spectral_norm(w: np.ndarray):
+    """Largest singular value, exact to rounding: a float for a matrix, an
+    array over the leading axes for a stack of matrices (one SVD call). An
+    all-zero or empty matrix has norm 0."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError("spectral_norm requires a matrix")
+    if w.ndim < 2:
+        raise ShapeError("spectral_norm requires a matrix or a stack of matrices")
     if not np.isfinite(w).all():
         raise NumericError("spectral_norm requires finite entries")
-    if not w.any():
-        return 0.0
-    return float(np.linalg.svd(w, compute_uv=False)[0])
+    live = w.any(axis=(-2, -1))
+    norms = np.zeros(w.shape[:-2])
+    if live.any():
+        norms[live] = np.linalg.svd(w[live], compute_uv=False)[..., 0]
+    return float(norms) if w.ndim == 2 else norms

@@ -126,7 +126,7 @@ class SparseAdjacency:
     def __post_init__(self):
         self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        if (np.diff(self.row_offsets) < 0).any():
+        if (self.row_offsets[1:] < self.row_offsets[:-1]).any():
             raise ConfigError("row_offsets must be non-decreasing")
         if self.row_offsets[-1] != self.col_indices.shape[0]:
             raise ConfigError("row_offsets end must equal nnz")
@@ -136,7 +136,7 @@ class SparseAdjacency:
             row_start = np.zeros(self.nnz, dtype=bool)
             starts = self.row_offsets[1:-1]
             row_start[starts[starts < self.nnz]] = True
-            bad = (np.diff(self.col_indices) <= 0) & ~row_start[1:]
+            bad = (self.col_indices[1:] <= self.col_indices[:-1]) & ~row_start[1:]
             if bad.any():
                 raise ConfigError("col_indices must increase strictly within each row")
 
@@ -149,7 +149,7 @@ class SparseAdjacency:
         return int(self.col_indices.shape[0])
 
     def edge_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
+        return np.repeat(np.arange(self.n_rows), self.row_offsets[1:] - self.row_offsets[:-1])
 
     def matmul(self, dense: T.Tensor) -> T.Tensor:
         return T.spmm(self.row_offsets, self.col_indices, self.values, dense)

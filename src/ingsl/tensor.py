@@ -27,29 +27,30 @@ from .errors import (
     StateError,
 )
 
-_LOCAL = threading.local()
+
+class _Local(threading.local):
+    """Per-thread stack of active tapes, created empty on a thread's first use."""
+
+    def __init__(self):
+        self.stack: list["Tape"] = []
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
+_LOCAL = _Local()
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
+    stack = _LOCAL.stack
     return stack[-1] if stack else None
 
 
 class Tensor:
-    """Dense 64-bit real array with optional accumulated gradient."""
+    """Dense 64-bit real array with optional accumulated gradient. A tensor
+    built from an array holds a C-contiguous copy of it."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.array(data, dtype=np.float64)
+        self.data = np.array(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -100,11 +101,11 @@ class Tape:
         self.backward_visits = 0
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _LOCAL.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _LOCAL.stack.pop()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -122,16 +123,20 @@ def record_op(
     input. Recording happens only when some input requires grad and a tape
     is active; the output's requires_grad flag is set either way.
     """
-    needs = any(t.requires_grad for t in inputs)
-    output.requires_grad = needs
-    tape = active_tape()
-    if needs and tape is not None:
-        tape.nodes.append(_Node(output, tuple(inputs), backward_fn, name))
+    for t in inputs:
+        if t.requires_grad:
+            output.requires_grad = True
+            stack = _LOCAL.stack
+            if stack:
+                stack[-1].nodes.append(_Node(output, tuple(inputs), backward_fn, name))
+            return output
+    output.requires_grad = False
     return output
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    # isfinite raises no floating-point flag, unlike a test on the sum.
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -425,7 +430,7 @@ def _index_array(idx, bound: int, op: str) -> np.ndarray:
     arr = np.asarray(idx, dtype=np.int64)
     if arr.ndim != 1:
         raise ShapeError(f"{op}: index array must be 1-D")
-    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+    if arr.size and (np.minimum.reduce(arr) < 0 or np.maximum.reduce(arr) >= bound):
         raise DomainError(f"{op}: index out of range [0, {bound})")
     return arr
 
@@ -568,9 +573,9 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
         raise ShapeError(f"spmm: dense operand must be 2-D, got {dense.shape}")
     if offs[-1] != cols.shape[0]:
         raise ShapeError("spmm: row_offsets inconsistent with edge count")
-    if cols.size and (cols.min() < 0 or cols.max() >= dense.shape[0]):
+    if cols.size and (np.minimum.reduce(cols) < 0 or np.maximum.reduce(cols) >= dense.shape[0]):
         raise DomainError("spmm: column index out of range")
-    rows = np.repeat(np.arange(n_rows), np.diff(offs))
+    rows = np.repeat(np.arange(n_rows), offs[1:] - offs[:-1])
     vd, dd = values.data, dense.data
 
     def bwd(g):

@@ -201,3 +201,66 @@ def redundancy_profile_argsort(e, k_values):
         if k >= 2 else (k, float("nan"))
         for k in k_values
     ]
+
+
+def _unit_sphere_draw(rng, dim):
+    while True:
+        v = rng.standard_normal(dim)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            return v / norm
+
+
+def lemma1_margins_loop(trials, dim_range=(2, 32), n_range=(2, 50), eps_range=(0.0, 0.99), seed=0):
+    """Per-trial margins (mean pairwise cosine - (n*eps^2 - 1)/(n - 1)) of
+    ``analysis.lemma1_check``, one trial at a time: the same draws from
+    ``default_rng([seed, t])``, cone points by ``cone_sample_row`` and the
+    mean over the upper triangle of the Gram matrix."""
+    margins = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        eps = rng.uniform(eps_range[0], eps_range[1])
+        anchor = _unit_sphere_draw(rng, dim)
+        c = rng.uniform(eps, 1.0, n)
+        w = rng.standard_normal((n, dim))
+        u = np.stack([cone_sample_row(anchor, c[i], w[i]) for i in range(n)])
+        unit = u / np.linalg.norm(u, axis=1)[:, None]
+        observed = (unit @ unit.T)[np.triu_indices(n, k=1)].mean()
+        margins.append(observed - (n * eps * eps - 1.0) / (n - 1.0))
+    return np.array(margins)
+
+
+def lemma2_margins_loop(
+    trials, dim_range=(2, 16), class_range=(2, 8), eps_range=(0.0, 0.99), b_range=(0.1, 5.0),
+    seed=0, max_neighbors=8,
+):
+    """Per-trial margins (2*B*||W_c||_2*sqrt(1 - eps) - |loss change|) of
+    ``analysis.lemma2_check``, one trial at a time: the same draws from
+    ``default_rng([seed, 1, t])``, cone points by ``cone_sample_row``, losses
+    by ``softmax_ce`` and the norm from a full SVD."""
+    margins = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, 1, t])
+        dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        classes = int(rng.integers(class_range[0], class_range[1] + 1))
+        n = int(rng.integers(1, max_neighbors + 1))
+        eps = rng.uniform(eps_range[0], eps_range[1])
+        b_norm = rng.uniform(b_range[0], b_range[1])
+        rho = rng.uniform(0.0, 1.0) * b_norm
+        anchor = _unit_sphere_draw(rng, dim)
+        c = rng.uniform(eps, 1.0, n)
+        w = rng.standard_normal((n, dim))
+        neighbors = rho * np.stack([cone_sample_row(anchor, c[i], w[i]) for i in range(n)])
+        weights = rng.uniform(0.0, 1.0, n)
+        total = weights.sum()
+        weights = np.full(n, 1.0 / n) if total <= 0 else weights / total
+        z_next = weights @ neighbors
+        z_i = rho * anchor
+        w_c = rng.standard_normal((dim, classes))
+        label = int(rng.integers(classes))
+        lhs = abs(softmax_ce(z_next @ w_c, label) - softmax_ce(z_i @ w_c, label))
+        norm = np.linalg.svd(w_c, compute_uv=False)[0]
+        margins.append(2.0 * b_norm * norm * np.sqrt(1.0 - eps) - lhs)
+    return np.array(margins)

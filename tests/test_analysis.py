@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingsl import analysis
 from ingsl.analysis import (
+    BOUND_TOL,
     avg_pairwise_similarity,
     complexity_estimate,
     cone_points,
@@ -16,7 +20,14 @@ from ingsl.analysis import (
 from ingsl.errors import ConfigError, DomainError, MetricError
 from ingsl.gnn import spectral_norm
 
-from oracles import cone_sample_row, pairwise_cos_loop, redundancy_profile_argsort, softmax_ce
+from oracles import (
+    cone_sample_row,
+    lemma1_margins_loop,
+    lemma2_margins_loop,
+    pairwise_cos_loop,
+    redundancy_profile_argsort,
+    softmax_ce,
+)
 
 
 class TestAvgPairwiseSimilarity:
@@ -176,6 +187,136 @@ class TestLossChangeCeiling:
         a = lemma2_check(50, seed=9)
         b = lemma2_check(50, seed=9)
         assert a.max_slack == b.max_slack and a.violations == b.violations
+
+
+LEMMA1_RANGES = {"dim_range": (2, 32), "n_range": (2, 50), "eps_range": (0.0, 0.99)}
+LEMMA2_RANGES = {"dim_range": (2, 16), "class_range": (2, 8), "eps_range": (0.0, 0.99), "b_range": (0.1, 5.0)}
+
+
+def block_margins(lemma: int, trials: int, seed: int, **ranges) -> np.ndarray:
+    """Per-trial margins of the blocked evaluation, in trial order."""
+    if lemma == 1:
+        r = {**LEMMA1_RANGES, **ranges}
+        blocks = analysis._lemma1_margins(trials, r["dim_range"], r["n_range"], r["eps_range"], seed)
+    else:
+        r = {**LEMMA2_RANGES, **ranges}
+        blocks = analysis._lemma2_margins(
+            trials, r["dim_range"], r["class_range"], r["eps_range"], r["b_range"], seed
+        )
+    return np.concatenate(list(blocks))
+
+
+def assert_matches_trial_loop(lemma: int, trials: int, seed: int, max_neighbors: int = 8, **ranges):
+    got = block_margins(lemma, trials, seed, **ranges)
+    if lemma == 1:
+        want = lemma1_margins_loop(trials, seed=seed, **{**LEMMA1_RANGES, **ranges})
+        rep = lemma1_check(trials, seed=seed, **ranges)
+    else:
+        want = lemma2_margins_loop(
+            trials, seed=seed, max_neighbors=max_neighbors, **{**LEMMA2_RANGES, **ranges}
+        )
+        rep = lemma2_check(trials, seed=seed, **ranges)
+    assert got.shape == (trials,)
+    assert np.abs(got - want).max() <= 1e-12
+    assert rep.violations == np.count_nonzero(want < -BOUND_TOL)
+    assert abs(rep.max_slack - want.min()) <= 1e-12
+
+
+class TestLemmaBlocks:
+    """Trials drawn one by one and evaluated in blocks against the one-trial-
+    at-a-time loop in tests/oracles.py."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("lemma", [1, 2])
+    def test_margins_match_trial_loop(self, lemma, seed):
+        assert_matches_trial_loop(lemma, 250, seed)
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            {"n_range": (2, 2)},
+            {"dim_range": (2, 2)},
+            {"eps_range": (0.0, 0.0)},
+            {"eps_range": (0.99, 0.99)},
+            {"n_range": (2, 2), "dim_range": (2, 2), "eps_range": (0.99, 0.99)},
+        ],
+    )
+    def test_lemma1_edge_ranges(self, ranges):
+        for seed in (0, 1):
+            assert_matches_trial_loop(1, 120, seed, **ranges)
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            {"dim_range": (2, 2)},
+            {"class_range": (2, 2)},
+            {"eps_range": (0.0, 0.0)},
+            {"eps_range": (0.99, 0.99)},
+            {"dim_range": (2, 2), "class_range": (2, 2), "eps_range": (0.99, 0.99)},
+        ],
+    )
+    @pytest.mark.parametrize("max_neighbors", [1, 8])
+    def test_lemma2_edge_ranges(self, monkeypatch, ranges, max_neighbors):
+        monkeypatch.setattr(analysis, "_LEMMA2_MAX_NEIGHBORS", max_neighbors)
+        for seed in (0, 1):
+            assert_matches_trial_loop(2, 120, seed, max_neighbors, **ranges)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.integers(1, 60),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 12))),
+        st.integers(2, 12).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 20))),
+        st.floats(0.0, 1.0).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo, 1.0))),
+        st.floats(0.01, 5.0).flatmap(lambda lo: st.tuples(st.just(lo), st.floats(lo, 10.0))),
+        st.sampled_from([1 << 4, 1 << 9, analysis._BLOCK_CELLS]),
+    )
+    def test_any_ranges_and_block_size_match_trial_loop(
+        self, lemma, trials, seed, dims, counts, eps, b, cells
+    ):
+        if lemma == 1:
+            ranges = {"dim_range": dims, "n_range": counts, "eps_range": eps}
+        else:
+            ranges = {"dim_range": dims, "class_range": counts, "eps_range": eps, "b_range": b}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BLOCK_CELLS", cells)
+            assert_matches_trial_loop(lemma, trials, seed, **ranges)
+
+    def test_peak_memory_stays_at_block_size(self):
+        # Evaluating all 10000 trials at once would hold arrays of about
+        # 10000 x 26 x 32 cells (66 MB each); blocks keep the peak below
+        # 16 arrays of the block budget whatever the trial count.
+        lemma1_check(10, seed=0)
+        tracemalloc.start()
+        try:
+            lemma1_check(10000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * analysis._BLOCK_CELLS
+
+
+INFEASIBLE_RANGES = [
+    (lemma1_check, "dim_range", (5, 3)),
+    (lemma1_check, "n_range", (9, 4)),
+    (lemma1_check, "eps_range", (0.6, 0.2)),
+    (lemma2_check, "dim_range", (5, 3)),
+    (lemma2_check, "class_range", (6, 2)),
+    (lemma2_check, "eps_range", (0.6, 0.2)),
+    (lemma2_check, "eps_range", (0.5, 1.5)),
+    (lemma2_check, "b_range", (3.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "check,name,bounds",
+    INFEASIBLE_RANGES,
+    ids=[f"{c.__name__}-{n}-{b[0]}-{b[1]}" for c, n, b in INFEASIBLE_RANGES],
+)
+def test_infeasible_sampling_range_is_config_error_naming_it(check, name, bounds):
+    with pytest.raises(ConfigError, match=f"infeasible {name} "):
+        check(10, seed=0, **{name: bounds})
 
 
 class TestRedundancyProfile:

@@ -232,6 +232,31 @@ class TestSpectralNorm:
             with pytest.raises(NumericError):
                 spectral_norm(np.array([[1.0, bad], [0.0, 2.0]]))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(2, 4, 5, 3))
+        w[1, 2] = 0.0
+        got = spectral_norm(w)
+        assert got.shape == (2, 4)
+        assert got[1, 2] == 0.0
+        for i in np.ndindex(2, 4):
+            assert abs(got[i] - spectral_norm(w[i])) <= 1e-12 * max(got[i], 1.0)
+
+    def test_stack_of_padded_matrices_keeps_each_norm(self):
+        # Zero rows and columns add only zero singular values.
+        rng = np.random.default_rng(6)
+        mats = [rng.normal(size=(int(rng.integers(2, 17)), int(rng.integers(2, 9)))) for _ in range(40)]
+        stack = np.zeros((40, 16, 8))
+        for s, m in zip(stack, mats):
+            s[: m.shape[0], : m.shape[1]] = m
+        got = spectral_norm(stack)
+        for g, m in zip(got, mats):
+            assert abs(g - spectral_norm(m)) <= 1e-12 * g
+
+    def test_vector_rejected(self):
+        with pytest.raises(ShapeError):
+            spectral_norm(np.ones(3))
+
     def test_exact_on_random_shapes(self):
         # Power iteration with an absolute stopping rule understated this by
         # up to 2e-3 relative on such matrices; the norm must be exact.

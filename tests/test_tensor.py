@@ -242,6 +242,42 @@ class TestGradientCheck:
         with pytest.raises(RankError):
             T.gradient_check(lambda p: T.relu(p), [x])
 
+    def test_leaf_from_fortran_ordered_array_is_perturbed(self):
+        # A leaf built from a transpose must still see every finite-difference
+        # step; the values keep their logical layout.
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-1.0, 1.0, (3, 4))
+        x = T.parameter(a.T)
+        assert x.data.flags.c_contiguous and np.array_equal(x.data, a.T)
+        assert T.gradient_check(lambda p: T.sum_all(T.mul(p, p)), [x]) < 1e-8
+
+    def test_fortran_ordered_leaves_in_an_op_row(self):
+        # The weighted objective of a gradcheck battery row, on matmul.
+        rng = np.random.default_rng(9)
+        a = T.parameter(np.asfortranarray(rng.uniform(-1.0, 1.0, (4, 3))))
+        b = T.parameter(rng.uniform(-1.0, 1.0, (2, 3)).T)
+        w = T.constant(np.arange(1.0, 9.0).reshape(4, 2))
+        err = T.gradient_check(lambda p, q: T.sum_all(T.mul(T.matmul(p, q), w)), [a, b])
+        assert err < 1e-6
+
+    def test_fortran_ordered_leaves_in_a_composite_check(self):
+        from ingsl.gnn import gcn_forward, make_gcn_params, task_loss
+        from ingsl.graph import normalize_adjacency
+
+        g = generate_sbm([4, 4], 0.6, 0.1, 3, 0.5, 2)
+        adj = normalize_adjacency(g)
+        rng = np.random.default_rng(10)
+        x = T.parameter(rng.uniform(0.5, 1.5, (3, g.n)).T)
+        params = make_gcn_params(rng, [3, 4], 2)
+        params.classifier = T.parameter(np.asfortranarray(params.classifier.data))
+        mask = np.ones(g.n, dtype=bool)
+
+        def f(*_):
+            _, logits = gcn_forward(adj, x, params)
+            return task_loss(logits, g.labels, mask)
+
+        assert T.gradient_check(f, [x, *params.layer_weights, params.classifier]) < 1e-6
+
     _OPS = {
         "relu": lambda p: T.sum_all(T.relu(p)),
         "sigmoid": lambda p: T.sum_all(T.sigmoid(p)),
@@ -919,3 +955,38 @@ class TestFiniteOutputs:
             T.row_l2_normalize(y),
         ):
             assert np.isfinite(out.data).all()
+
+
+class TestFiniteGuard:
+    """Every op output passes through one finiteness check."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, np.nan], [np.inf, 2.0], [-np.inf, 2.0], [np.inf, -np.inf], [np.nan, np.inf]],
+        ids=["nan", "+inf", "-inf", "+inf-inf", "nan+inf"],
+    )
+    @pytest.mark.parametrize("op", ["add", "mul", "reshape"])
+    def test_non_finite_output_raises(self, op, values):
+        x = T.constant(np.array(values))
+        run = {
+            "add": lambda: T.add(x, 0.0),
+            "mul": lambda: T.mul(x, 1.0),
+            "reshape": lambda: T.reshape(x, (2, 1)),
+        }[op]
+        with pytest.raises(NumericError, match=f"^{op} produced non-finite values$"):
+            run()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_output_raises(self, value):
+        with pytest.raises(NumericError, match="^mul produced non-finite values$"):
+            T.mul(T.constant(value), 1.0)
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [-1e308, -1e308, -1e308], [1e308, -1e308]])
+    def test_finite_output_with_overflowing_sum_passes_without_warning(self, values):
+        import warnings
+
+        x = T.constant(np.array(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.mul(x, 1.0)
+        assert np.array_equal(out.data, np.array(values))
