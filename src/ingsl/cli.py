@@ -226,7 +226,9 @@ def _thread_count() -> int:
         threads = int(raw)
     except ValueError:
         raise ConfigError(f"INGSL_THREADS must be an integer, got {raw!r}") from None
-    return max(1, threads)
+    if threads < 1:
+        raise ConfigError(f"INGSL_THREADS must be >= 1, got {raw!r}")
+    return threads
 
 
 @functools.cache
@@ -254,6 +256,7 @@ def _blas_thread_setter():
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every (mode, r, seed) cell and assemble the report dict."""
+    threads = _thread_count()
     base = resolve_dataset(cfg)
     jobs = [
         (mode, r, seed)
@@ -261,7 +264,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for r in cfg.reduction_levels
         for seed in cfg.seeds
     ]
-    threads = _thread_count()
     # Every cell runs BLAS at one thread, serial or pooled, so a report's bits
     # do not depend on whether the BLAS gives the same bits at one thread as
     # at several; at these sizes a second BLAS thread buys nothing anyway.

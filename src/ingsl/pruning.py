@@ -171,15 +171,15 @@ def _keep_uniform(sim: np.ndarray, r: float, rng: np.random.Generator) -> np.nda
     return np.sort(rng.choice(sim.size, size=keep_count(sim.size, r), replace=False))
 
 
-# The one definition of each mode, the method first: name -> (keep rule,
-# redraws). A keep rule maps candidate similarities, r and the epoch's
-# generator to kept indices, or to None to keep all; the method has none, as
-# it prunes by the learned scorer and trains the contrastive term.
+# The one definition of each mode, the method first: name -> keep rule. A
+# keep rule maps candidate similarities, r and the epoch's generator to kept
+# indices, or to None to keep all; the method has none, as it prunes by the
+# learned scorer and trains the contrastive term.
 MODE_TABLE = {
-    "ingsl": (None, False),
-    "similarity_only": (_keep_top_similar, False),
-    "random_prune": (_keep_uniform, True),
-    "no_reduction": (lambda sim, r, rng: None, False),
+    "ingsl": None,
+    "similarity_only": _keep_top_similar,
+    "random_prune": _keep_uniform,
+    "no_reduction": lambda sim, r, rng: None,
 }
 MODES = tuple(MODE_TABLE)
 
@@ -351,7 +351,7 @@ def _structure_for_epoch(
         w = diversity_scores(e, src, dst, scorer)
         return e, cand, prune(cand, w, select_threshold(sim.data * w.data, r))
     rng = np.random.default_rng([cfg.seed, 2, epoch])
-    kept = MODE_TABLE[cfg.mode][0](sim.data, r, rng)
+    kept = MODE_TABLE[cfg.mode](sim.data, r, rng)
     if kept is None:
         return e, cand, cand.sparse
     return e, cand, _subset_csr(cand.sparse, kept, T.take(sim, kept))
@@ -370,9 +370,8 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
     params_t = make_gcn_params(rng, dims, g.classes)
     params_s = make_gcn_params(rng, dims, None)
     named = {**params_t.named("gnn_t"), **params_s.named("gnn_s")}
-    keep, redraws = MODE_TABLE[cfg.mode]
     scorer = None
-    if keep is None:
+    if MODE_TABLE[cfg.mode] is None:
         scorer = make_scorer(cfg.scorer_kind, cfg.hidden, rng)
         named.update(scorer.parameters())
     state = TrainState(dict(named))
@@ -420,7 +419,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
         nonlocal at
         with T.Tape() as tape:
             fwd = forward(epoch)
-            if epoch > 0 and not redraws and evaluate(epoch - 1, fwd):
+            if epoch > 0 and evaluate(epoch - 1, fwd):
                 return True
             at = epoch
             _, cand, s_t, _, z_t, logits = fwd
@@ -452,8 +451,10 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
         T.zero_grads(named.values())
         return False
 
-    # Each taped forward runs on the previous epoch's parameters, so unless the
-    # mode redraws it also evaluates that epoch, and its failures name it.
+    # Each taped forward runs on the previous epoch's parameters, so it also
+    # evaluates that epoch, and its failures name it. One untaped forward
+    # scores the last epoch; random_prune scores each epoch's parameters on
+    # the next epoch's draw.
     epochs_run = at = 0
     try:
         for epoch in range(cfg.epochs):
@@ -461,11 +462,8 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
             if train_epoch(epoch):
                 break
             epochs_run = epoch + 1
-            if redraws and evaluate(epoch, forward(epoch)):
-                break
         else:
-            if not redraws:
-                evaluate(epoch, forward(epoch))
+            evaluate(epoch, forward(epoch + 1))
     except NumericError as exc:
         raise NumericError(f"training diverged at epoch {at}: {exc}") from exc
 

@@ -457,6 +457,18 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
         one_error_line(capsys, "seed must be >= 0")
 
+    @pytest.mark.parametrize(
+        "threads,text",
+        [("0", "must be >= 1, got '0'"), ("-2", "must be >= 1, got '-2'"),
+         ("two", "must be an integer, got 'two'")],
+    )
+    def test_bad_thread_count_exit_one(self, tmp_path, monkeypatch, capsys, threads, text):
+        monkeypatch.setenv("INGSL_THREADS", threads)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 1
+        one_error_line(capsys, f"INGSL_THREADS {text}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["verify-lemmas", "gradcheck"])
     @pytest.mark.parametrize(
         "seed,trials,text", [("-1", "1", "--seed must be >= 0"), ("0", "0", "--trials must be >= 1")]

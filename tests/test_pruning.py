@@ -537,10 +537,11 @@ class TestTraining:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("patience", [1, 3, 30])
     def test_best_epoch_replays(self, monkeypatch, mode, patience):
-        # Validation is scored from the next epoch's taped forward; the
-        # restored parameters must be those the best epoch's update left, and
-        # one untaped forward on them must reproduce the reported best epoch,
-        # with random_prune redrawing that epoch's edges.
+        # Validation is scored from the next epoch's forward; the restored
+        # parameters must be those the best epoch's update left, and one
+        # untaped forward on them must reproduce the reported best epoch. The
+        # epoch argument seeds only random_prune's draw, which for the best
+        # parameters is that of epoch best_epoch + 1.
         after_step = []
         real_adam = pruning.adam_step
 
@@ -566,7 +567,7 @@ class TestTraining:
             scorer = DiversityScorer("bilinear", bilinear_weight=p["scorer.bilinear"])
         x = T.constant(g.features)
         e, _, s = pruning._structure_for_epoch(
-            g, x, normalize_adjacency(g), params_s, scorer, cfg, rep.best_epoch
+            g, x, normalize_adjacency(g), params_s, scorer, cfg, rep.best_epoch + 1
         )
         _, logits = gcn_forward(fuse_with_original(g, s, cfg.residual_weight), x, params_t)
         assert accuracy(logits, g.labels, g.test_mask) == rep.test_acc
@@ -575,6 +576,26 @@ class TestTraining:
         assert np.array_equal(s.values.data, res.pruned.values.data)
         assert np.array_equal(e.data, res.embeddings)
         assert rep.epochs_run == cfg.epochs or rep.epochs_run - 1 - rep.best_epoch == patience
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("patience", [1, 30])
+    def test_one_forward_per_epoch_and_one_after(self, monkeypatch, mode, patience):
+        # Every mode scores epoch e - 1 from epoch e's taped forward, so a
+        # cell runs epochs_run taped forwards plus the one that scores the
+        # last epoch, whether or not early stopping ends it.
+        calls = []
+        real = pruning._structure_for_epoch
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(pruning, "_structure_for_epoch", counting)
+        g = generate_sbm([10, 10, 10], 0.4, 0.05, 4, 1.0, seed=3)
+        cfg = self.config(mode=mode, k=5, lr=5e-2, epochs=30, patience=patience)
+        rep = train_ingsl(g, cfg).report
+        assert (rep.epochs_run < cfg.epochs) == (patience == 1)
+        assert len(calls) == rep.epochs_run + 1
 
     @pytest.mark.parametrize(
         "mode,unreachable",
@@ -625,8 +646,8 @@ class TestTraining:
     @pytest.mark.parametrize("bad_epoch", [4, 9])
     def test_divergence_names_the_epoch_of_the_parameters(self, monkeypatch, mode, bad_epoch):
         # A NaN written by epoch t's update is met when epoch t is scored:
-        # in epoch t + 1's forward, random_prune's own pass, or the final
-        # pass after the last epoch. Each must name epoch t.
+        # in epoch t + 1's forward, or in the final pass after the last
+        # epoch. Each must name epoch t.
         real_adam = pruning.adam_step
 
         def poisoning_adam(state, grads, lr):
