@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DomainError, MetricError
 from .gnn import spectral_norm
-from .gsl import _first_k
+from .gsl import build_candidates
 
 BOUND_TOL = 1e-9
 _LEMMA2_MAX_NEIGHBORS = 8
@@ -44,14 +44,6 @@ class LemmaReport:
     violations: int
     max_slack: float
     config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_slack": self.max_slack,
-            "config": self.config,
-        }
 
 
 def _mean_pair_cosines(vectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -128,13 +120,23 @@ _RANGE_DOMAINS = {
 }
 
 
-def _check_sampling(trials: int, **ranges) -> None:
+def _run_lemma(margins, trials: int, seed: int, **ranges) -> LemmaReport:
+    """Check ``trials`` and each sampling range, then tally the signed
+    margins that ``margins(trials, **ranges, seed=seed)`` yields block by block.
+    The report's config holds the ranges, in order, and the seed."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     for name, (lo, hi) in ranges.items():
         ok, wording = _RANGE_DOMAINS[name]
         if not ok(lo, hi):
             raise ConfigError(f"infeasible {name} [{lo}, {hi}]: need {wording}")
+    violations = 0
+    worst = np.inf
+    for m in margins(trials, **ranges, seed=seed):
+        violations += int(np.count_nonzero(m < -BOUND_TOL))
+        worst = min(worst, float(np.minimum.reduce(m)))
+    config = {**{name: list(r) for name, r in ranges.items()}, "seed": seed}
+    return LemmaReport(trials=trials, violations=violations, max_slack=worst, config=config)
 
 
 # Float64 cells in the widest array of one block of lemma trials: 2^13
@@ -180,15 +182,6 @@ def _stack_padded(arrays, shape: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _report(trials: int, margins: Iterator[np.ndarray], config: dict) -> LemmaReport:
-    violations = 0
-    worst = np.inf
-    for m in margins:
-        violations += int(np.count_nonzero(m < -BOUND_TOL))
-        worst = min(worst, float(np.minimum.reduce(m)))
-    return LemmaReport(trials=trials, violations=violations, max_slack=worst, config=config)
-
-
 def _lemma1_margins(trials, dim_range, n_range, eps_range, seed) -> Iterator[np.ndarray]:
     """Signed margins observed - floor of each trial, one array per block."""
 
@@ -220,16 +213,8 @@ def lemma1_check(
     seed: int = 0,
 ) -> LemmaReport:
     """Sample neighbor cones and verify the average-similarity floor."""
-    _check_sampling(trials, dim_range=dim_range, n_range=n_range, eps_range=eps_range)
-    return _report(
-        trials,
-        _lemma1_margins(trials, dim_range, n_range, eps_range, seed),
-        {
-            "dim_range": list(dim_range),
-            "n_range": list(n_range),
-            "eps_range": list(eps_range),
-            "seed": seed,
-        },
+    return _run_lemma(
+        _lemma1_margins, trials, seed, dim_range=dim_range, n_range=n_range, eps_range=eps_range
     )
 
 
@@ -302,19 +287,9 @@ def lemma2_check(
     (0, B]; neighbors sit in the cosine cone around the anchor and the
     aggregation weights are non-negative and sum to one.
     """
-    _check_sampling(
-        trials, dim_range=dim_range, class_range=class_range, eps_range=eps_range, b_range=b_range
-    )
-    return _report(
-        trials,
-        _lemma2_margins(trials, dim_range, class_range, eps_range, b_range, seed),
-        {
-            "dim_range": list(dim_range),
-            "class_range": list(class_range),
-            "eps_range": list(eps_range),
-            "b_range": list(b_range),
-            "seed": seed,
-        },
+    return _run_lemma(
+        _lemma2_margins, trials, seed,
+        dim_range=dim_range, class_range=class_range, eps_range=eps_range, b_range=b_range,
     )
 
 
@@ -323,9 +298,10 @@ def redundancy_profile(e, k_values) -> list[tuple[int, float]]:
     most cosine-similar other nodes, for each requested k.
 
     Zero rows (``tensor.nonzero_rows``) have no cosine and are left out, both
-    as nodes and as neighbors. Selection uses cosine so the profile is invariant
-    under row-wise positive rescaling. Nodes need >= 2 neighbors to
-    contribute; for k < 2 the entry is NaN.
+    as nodes and as neighbors. Neighbors are ranked by ``gsl.build_candidates``
+    with the cosine metric, so the profile is invariant under row-wise
+    positive rescaling, and ties go to the smaller column. Nodes need >= 2
+    neighbors to contribute; for k < 2 the entry is NaN.
     """
     data = e.data if isinstance(e, T.Tensor) else np.asarray(e, dtype=np.float64)
     if data.ndim != 2:
@@ -333,31 +309,24 @@ def redundancy_profile(e, k_values) -> list[tuple[int, float]]:
     data = data[T.nonzero_rows(data)]
     n = data.shape[0]
     k_values = [int(k) for k in k_values]
-    if any(k < 1 for k in k_values):
-        raise ConfigError("k values must be >= 1")
-    if max(k_values) >= n:
+    if not k_values or any(k < 1 for k in k_values):
+        raise ConfigError(f"k values must be a non-empty list of integers >= 1, got {k_values}")
+    top = max(k_values)
+    if top >= n:
         raise ConfigError(f"max k must be < {n}, the number of non-zero rows")
-    unit = data / np.linalg.norm(data, axis=1)[:, None]
-    # The first max(k) columns of each row's stable ascending sort of -sim
-    # (ties to the smaller column), without sorting the whole row: take
-    # that set, order it by column, then stably by value.
-    neg = unit @ unit.T
-    np.negative(neg, out=neg)
-    np.fill_diagonal(neg, np.inf)
-    cols = np.sort(_first_k(neg, max(k_values)), axis=1)
-    vals = np.take_along_axis(neg, cols, axis=1)
-    order = np.take_along_axis(cols, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    # Each row's max(k) candidates come column-sorted with their cosines;
+    # a stable sort by descending cosine keeps ties on the smaller column.
+    cand = build_candidates(T.constant(data), top, "cosine")
+    cols = cand.sparse.col_indices.reshape(n, top)
+    neg = -cand.sparse.values.data.reshape(n, top)
+    order = np.take_along_axis(cols, np.argsort(neg, axis=1, kind="stable"), axis=1)
 
-    out: list[tuple[int, float]] = []
-    for k in k_values:
-        if k < 2:
-            out.append((k, float("nan")))
-            continue
-        scores = [
-            avg_pairwise_similarity(data[order[i, :k]]) for i in range(n)
-        ]
-        out.append((k, float(np.mean(scores))))
-    return out
+    def mean_over_nodes(k):
+        # Node i's k neighbors are the i-th run of k rows.
+        rows = data[order[:, :k]].reshape(n * k, -1)
+        return float(np.mean(_mean_pair_cosines(rows, np.full(n, k))))
+
+    return [(k, mean_over_nodes(k) if k >= 2 else float("nan")) for k in k_values]
 
 
 def complexity_estimate(

@@ -345,6 +345,71 @@ def _tiny_adjacency(rng: np.random.Generator, n: int) -> SparseAdjacency:
     return SparseAdjacency(offsets, cols, values, n)
 
 
+def _gcn_case(rng: np.random.Generator):
+    """The task loss of a two-layer GCN on a tiny random graph."""
+    n, d, h, c = 6, 3, 4, 2
+    adj = _tiny_adjacency(rng, n)
+    x = T.parameter(rng.uniform(0.5, 1.5, (n, d)))
+    params = make_gcn_params(rng, [d, h, h], c)
+    labels = rng.integers(c, size=n)
+    mask = np.ones(n, dtype=bool)
+    leaves = [adj.values, x, *params.layer_weights, params.classifier]
+    return lambda *_: task_loss(gcn_forward(adj, x, params)[1], labels, mask), leaves
+
+
+def _scorer_case(kind: str, rng: np.random.Generator):
+    """Diversity scores around a 6-node ring. The MLP's embeddings are
+    positive and its hidden layer scaled by 3, so its pre-activations sit
+    clear of the ReLU kink."""
+    e = T.parameter(rng.uniform(-1.0 if kind == "bilinear" else 0.3, 1.0, (6, 4)))
+    scorer = make_scorer(kind, 4, rng)
+    if kind == "mlp":
+        scorer.mlp_hidden.data *= 3.0
+    src = np.arange(6)
+    dst = np.roll(src, -1)
+    return (
+        lambda *_: T.sum_all(diversity_scores(e, src, dst, scorer)),
+        [e, *scorer.parameters().values()],
+    )
+
+
+def _prune_case(rng: np.random.Generator):
+    """Sigmoid pruning of a fixed 2-per-row candidate graph at a 50% threshold."""
+    n, k = 6, 2
+    vals = T.parameter(rng.uniform(0.3, 1.0, n * k))
+    w = T.parameter(rng.uniform(0.3, 1.0, n * k))
+    cols = np.sort(np.array([[(i + 1) % n, (i + 2) % n] for i in range(n)]), axis=1)
+    offsets = np.arange(n + 1, dtype=np.int64) * k
+    cand = CandidateGraph(SparseAdjacency(offsets, cols.reshape(-1), vals, n))
+    x = vals.data * w.data
+    eps = select_threshold(x, 0.5)
+    if np.abs(x - eps).min() < 1e-3:  # keep the mask stable across the FD perturbation
+        eps -= 5e-4
+    return lambda *_: T.sum_all(prune(cand, w, eps).values), [vals, w]
+
+
+def _mi_case(rng: np.random.Generator):
+    """The contrastive loss between two views over three anchor nodes."""
+    views = [T.parameter(rng.uniform(0.3, 1.0, (6, 3))) for _ in range(2)]
+    return lambda zt, z: mi_loss(zt, z, np.array([0, 2, 4])), views
+
+
+def _pipeline_case(rng: np.random.Generator):
+    """Top-2 candidates, bilinear scores and a prune keeping 40%, end to end."""
+    e = T.parameter(rng.uniform(0.3, 1.2, (6, 3)))
+    scorer = make_scorer("bilinear", 3, rng)
+
+    def scored():
+        cand = build_candidates(e, 2)
+        return cand, diversity_scores(e, *cand.pairs(), scorer)
+
+    cand, w = scored()
+    # The boundary edge sits exactly at the selected threshold; shift eps
+    # below it so the FD perturbation cannot flip the kept set.
+    eps = select_threshold(cand.sparse.values.data * w.data, 0.4) - 1e-3
+    return lambda *_: T.sum_all(prune(*scored(), eps).values), [e, scorer.bilinear_weight]
+
+
 def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     """Named finite-difference checks: one per differentiable tensor op, then
     the composite stages training runs.
@@ -353,9 +418,12 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     output entry i by i + 1, so a backward rule that permutes, drops or
     misroutes entries cannot cancel out. The table is built on every call, so
     it binds the tensor module's ops as they are then, wrapped or not.
-    Instances avoid relu/threshold kinks by construction (margins > 1e-1 on
-    sampled coordinates, fixed seeds elsewhere). spmm and sddmm each have an
-    instance on either side of the tensor module's dense-path size rule.
+    Each composite row is (name, generator tag, case). A case maps the
+    generator ``default_rng([seed, tag])`` to an objective and its leaves;
+    it draws only when its check runs. Instances avoid relu/threshold kinks
+    by construction (margins > 1e-1 on sampled coordinates, fixed seeds
+    elsewhere). spmm and sddmm each have an instance on either side of the
+    tensor module's dense-path size rule.
     """
     rng = np.random.default_rng([seed, 11])
     domains = {
@@ -408,6 +476,14 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
         ("spmm_sparse", lambda v, d: T.spmm(soffsets, [2, 7, 0], v, d), [(3,), (10, 2)], "any"),
         ("sddmm_sparse", lambda u, v: T.sddmm([3, 9], [7, 0], u, v), [(10, 2), (8, 2)], "any"),
     ]
+    composites = [
+        ("gcn_forward+task_loss", 13, _gcn_case),
+        ("scorer_bilinear", 14, functools.partial(_scorer_case, "bilinear")),
+        ("scorer_mlp", 15, functools.partial(_scorer_case, "mlp")),
+        ("prune", 16, _prune_case),
+        ("mi_loss", 17, _mi_case),
+        ("prune_pipeline", 18, _pipeline_case),
+    ]
 
     def weighted(op, leaves):
         weight = None  # the constant 1, 2, ... in the output's shape, built on the first call
@@ -421,118 +497,13 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
 
         return lambda: T.gradient_check(objective, leaves)
 
-    checks: list[tuple[str, callable]] = [
+    def drawn(tag, case):
+        return lambda: T.gradient_check(*case(np.random.default_rng([seed, tag])))
+
+    return [
         (name, weighted(op, [T.parameter(domains[domain](s)) for s in shapes]))
         for name, op, shapes, domain in rows
-    ]
-
-    def gcn_check():
-        rng2 = np.random.default_rng([seed, 13])
-        n, d, h, c = 6, 3, 4, 2
-        adj2 = _tiny_adjacency(rng2, n)
-        x2 = T.parameter(rng2.uniform(0.5, 1.5, (n, d)))
-        params = make_gcn_params(rng2, [d, h, h], c)
-        labels = rng2.integers(c, size=n)
-        mask = np.ones(n, dtype=bool)
-        leaves = [adj2.values, x2, *params.layer_weights, params.classifier]
-
-        def f(*_):
-            _, logits = gcn_forward(adj2, x2, params)
-            return task_loss(logits, labels, mask)
-
-        return T.gradient_check(f, leaves)
-
-    checks.append(("gcn_forward+task_loss", gcn_check))
-
-    def bilinear_check():
-        rng2 = np.random.default_rng([seed, 14])
-        e = T.parameter(rng2.uniform(-1.0, 1.0, (6, 4)))
-        scorer = make_scorer("bilinear", 4, rng2)
-        src = np.array([0, 1, 2, 3, 4, 5])
-        dst = np.array([1, 2, 3, 4, 5, 0])
-
-        def f(*_):
-            return T.sum_all(diversity_scores(e, src, dst, scorer))
-
-        return T.gradient_check(f, [e, scorer.bilinear_weight])
-
-    checks.append(("scorer_bilinear", bilinear_check))
-
-    def mlp_check():
-        rng2 = np.random.default_rng([seed, 15])
-        e = T.parameter(rng2.uniform(0.3, 1.0, (6, 4)))
-        scorer = make_scorer("mlp", 4, rng2)
-        # Scale the hidden layer so pre-activations sit clear of the kink.
-        scorer.mlp_hidden.data *= 3.0
-        src = np.array([0, 1, 2, 3, 4, 5])
-        dst = np.array([1, 2, 3, 4, 5, 0])
-
-        def f(*_):
-            return T.sum_all(diversity_scores(e, src, dst, scorer))
-
-        return T.gradient_check(f, [e, scorer.mlp_hidden, scorer.mlp_out])
-
-    checks.append(("scorer_mlp", mlp_check))
-
-    def prune_check():
-        rng2 = np.random.default_rng([seed, 16])
-        n, k = 6, 2
-        vals = T.parameter(rng2.uniform(0.3, 1.0, n * k))
-        w = T.parameter(rng2.uniform(0.3, 1.0, n * k))
-        cols = np.sort(np.array([[(i + 1) % n, (i + 2) % n] for i in range(n)]), axis=1)
-        adj3 = SparseAdjacency(
-            np.arange(n + 1, dtype=np.int64) * k, cols.reshape(-1), vals, n
-        )
-        cand = CandidateGraph(sparse=adj3)
-        eps = select_threshold(vals.data * w.data, 0.5)
-        x = vals.data * w.data
-        margin = np.abs(x - eps).min()
-        if margin < 1e-3:  # keep the mask stable across the FD perturbation
-            eps -= 5e-4
-
-        def f(*_):
-            return T.sum_all(prune(cand, w, eps).values)
-
-        return T.gradient_check(f, [vals, w])
-
-    checks.append(("prune", prune_check))
-
-    def mi_check():
-        rng2 = np.random.default_rng([seed, 17])
-        zt = T.parameter(rng2.uniform(0.3, 1.0, (6, 3)))
-        z = T.parameter(rng2.uniform(0.3, 1.0, (6, 3)))
-        ids = np.array([0, 2, 4])
-
-        def f(*_):
-            return mi_loss(zt, z, ids)
-
-        return T.gradient_check(f, [zt, z])
-
-    checks.append(("mi_loss", mi_check))
-
-    def pipeline_check():
-        rng2 = np.random.default_rng([seed, 18])
-        n, d, h = 6, 3, 4
-        e = T.parameter(rng2.uniform(0.3, 1.2, (n, d)))
-        scorer = make_scorer("bilinear", d, rng2)
-        cand = build_candidates(e, 2)
-        src, dst = cand.pairs()
-        w0 = diversity_scores(e, src, dst, scorer)
-        # The boundary edge sits exactly at the selected threshold; shift eps
-        # below it so the FD perturbation cannot flip the kept set.
-        eps = select_threshold(cand.sparse.values.data * w0.data, 0.4) - 1e-3
-
-        def f(*_):
-            c = build_candidates(e, 2)
-            s, t_ = c.pairs()
-            wv = diversity_scores(e, s, t_, scorer)
-            return T.sum_all(prune(c, wv, eps).values)
-
-        return T.gradient_check(f, [e, scorer.bilinear_weight])
-
-    checks.append(("prune_pipeline", pipeline_check))
-
-    return checks
+    ] + [(name, drawn(tag, case)) for name, tag, case in composites]
 
 
 def run_gradcheck_battery(checks, threshold: float = 1e-4) -> tuple[list[dict], bool]:
@@ -590,8 +561,8 @@ def cmd_verify_lemmas(trials: int, seed: int, out: Path | None) -> int:
         "version": __version__,
         "trials": trials,
         "seed": seed,
-        "lemma1": rep1.to_dict(),
-        "lemma2": rep2.to_dict(),
+        "lemma1": asdict(rep1),
+        "lemma2": asdict(rep2),
     }
     if out is not None:
         _write_json(out / "lemmas.json", payload)
@@ -628,13 +599,13 @@ def cmd_gradcheck(seed: int, out: Path | None, trials: int = 1) -> int:
 
 
 def cmd_diagnose_redundancy(cfg: ExperimentConfig, k_values: list[int], out: Path) -> int:
-    base = resolve_dataset(cfg)
-    if max(k_values) >= base.n:
-        raise ConfigError(f"--k-values must be < n = {base.n}, got {max(k_values)}")
-    result = train_ingsl(base, cfg.train_config("no_reduction", 0.0, cfg.seeds[0]))
+    g = _apply_noise(resolve_dataset(cfg), cfg.noise, cfg.seeds[0])
+    if max(k_values) >= g.n:
+        raise ConfigError(f"--k-values must be < n = {g.n}, got {max(k_values)}")
+    result = train_ingsl(g, cfg.train_config("no_reduction", 0.0, cfg.seeds[0]))
     kept = int(T.nonzero_rows(result.embeddings).sum())
-    if kept < base.n:
-        print(f"left out {base.n - kept} of {base.n} embedding rows with zero norm")
+    if kept < g.n:
+        print(f"left out {g.n - kept} of {g.n} embedding rows with zero norm")
     if max(k_values) >= kept:
         raise ConfigError(
             f"--k-values must be < {kept}, the number of non-zero embedding rows, "

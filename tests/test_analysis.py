@@ -371,6 +371,10 @@ class TestRedundancyProfile:
         with pytest.raises(ConfigError):
             redundancy_profile(np.eye(4), [4])
 
+    def test_empty_k_values_is_config_error_naming_them(self):
+        with pytest.raises(ConfigError, match=r"k values .*got \[\]"):
+            redundancy_profile(np.eye(4), [])
+
     def test_zero_rows_left_out(self):
         # A zero row is neither a node nor anyone's neighbor: the profile is
         # the profile over the other rows, exactly.

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import ingsl
 from ingsl import cli
 from ingsl import tensor as T
+from ingsl.analysis import redundancy_profile
 from ingsl.cli import default_battery, main, parse_config, run_gradcheck_battery
 from ingsl.errors import ConfigError
 from ingsl.graph import Graph, generate_sbm, load_bundle, save_bundle
@@ -837,6 +838,22 @@ class TestDiagnoseRedundancy:
         assert "embedding rows with zero norm" in capsys.readouterr().out
         lines = (out / "redundancy.csv").read_text().splitlines()
         assert lines[0] == "k,mean_pairwise_cosine" and len(lines) == 5
+
+    def test_diagnose_redundancy_trains_on_the_noisy_graph(self, tmp_path):
+        # The profile comes from the graph a train cell of the same seed
+        # would see: noise applied, edges deleted and features masked.
+        noise = {"del_ratio": 1.0, "feature_mask_ratio": 0.5}
+        cfg_path = write_config(tmp_path, seeds=[3], epochs=4, noise=noise)
+        out = tmp_path / "diag"
+        argv = ["diagnose-redundancy", "--config", str(cfg_path), "--out", str(out),
+                "--k-values", "2,5"]
+        assert main(argv) == 0
+        cfg = parse_config(json.loads(cfg_path.read_text()))
+        noisy = cli._apply_noise(cli.resolve_dataset(cfg), noise, 3)
+        result = train_ingsl(noisy, cfg.train_config("no_reduction", 0.0, 3))
+        want = redundancy_profile(result.embeddings, [2, 5])
+        lines = (out / "redundancy.csv").read_text().splitlines()
+        assert lines[1:] == [f"{k},{v!r}" for k, v in want]
 
     def test_diagnose_redundancy_k_above_non_zero_rows(self, tmp_path, capsys, monkeypatch):
         real_train = cli.train_ingsl
