@@ -364,12 +364,12 @@ def _scorer_case(kind: str, rng: np.random.Generator):
     e = T.parameter(rng.uniform(-1.0 if kind == "bilinear" else 0.3, 1.0, (6, 4)))
     scorer = make_scorer(kind, 4, rng)
     if kind == "mlp":
-        scorer.mlp_hidden.data *= 3.0
+        scorer.params["scorer.mlp_hidden"].data *= 3.0
     src = np.arange(6)
     dst = np.roll(src, -1)
     return (
         lambda *_: T.sum_all(diversity_scores(e, src, dst, scorer)),
-        [e, *scorer.parameters().values()],
+        [e, *scorer.params.values()],
     )
 
 
@@ -407,7 +407,7 @@ def _pipeline_case(rng: np.random.Generator):
     # The boundary edge sits exactly at the selected threshold; shift eps
     # below it so the FD perturbation cannot flip the kept set.
     eps = select_threshold(cand.sparse.values.data * w.data, 0.4) - 1e-3
-    return lambda *_: T.sum_all(prune(*scored(), eps).values), [e, scorer.bilinear_weight]
+    return lambda *_: T.sum_all(prune(*scored(), eps).values), [e, *scorer.params.values()]
 
 
 def default_battery(seed: int = 0) -> list[tuple[str, callable]]:

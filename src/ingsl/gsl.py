@@ -120,9 +120,7 @@ def feature_smoothness(
 
 
 def fuse_with_original(
-    a: Graph,
-    s: CandidateGraph | SparseAdjacency | None,
-    residual_weight: float = 1.0,
+    a: Graph, sparse: SparseAdjacency | None, residual_weight: float = 1.0
 ) -> SparseAdjacency:
     """Normalize the edge-value union of the original graph and the learned
     candidates scaled by ``residual_weight``. Original edges carry unit weight
@@ -130,7 +128,6 @@ def fuse_with_original(
     """
     if residual_weight < 0:
         raise DomainError("residual_weight must be non-negative")
-    sparse = s.sparse if isinstance(s, CandidateGraph) else s
     if sparse is None or sparse.nnz == 0:
         return normalize_adjacency(a)
 

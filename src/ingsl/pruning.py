@@ -55,38 +55,23 @@ KEEP_ALL = float("-inf")  # sentinel threshold: every candidate survives
 
 @dataclass
 class DiversityScorer:
-    """Learnable per-edge score, either bilinear or a bias-free two-layer MLP."""
+    """Learnable per-edge score, either bilinear or a bias-free two-layer MLP.
+
+    ``params`` holds its tensors under their ``TrainResult.params`` names:
+    ``scorer.bilinear`` [h, h], or ``scorer.mlp_hidden`` [2h, h] and
+    ``scorer.mlp_out`` [h, 1]. ``make_scorer`` is the one place that names
+    them."""
 
     kind: str
-    bilinear_weight: T.Tensor | None = None  # [h, h]
-    mlp_hidden: T.Tensor | None = None  # [2h, h]
-    mlp_out: T.Tensor | None = None  # [h, 1]
-
-    def __post_init__(self):
-        if self.kind == "bilinear":
-            ok = self.bilinear_weight is not None and self.mlp_hidden is None and self.mlp_out is None
-        elif self.kind == "mlp":
-            ok = self.bilinear_weight is None and self.mlp_hidden is not None and self.mlp_out is not None
-        else:
-            raise ConfigError(f"unknown scorer kind {self.kind!r}")
-        if not ok:
-            raise ConfigError(f"scorer parameters do not match kind {self.kind!r}")
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        if self.kind == "bilinear":
-            return {"scorer.bilinear": self.bilinear_weight}
-        return {"scorer.mlp_hidden": self.mlp_hidden, "scorer.mlp_out": self.mlp_out}
+    params: dict[str, T.Tensor]
 
 
 def make_scorer(kind: str, h: int, rng: np.random.Generator) -> DiversityScorer:
     if kind == "bilinear":
-        return DiversityScorer(kind="bilinear", bilinear_weight=T.parameter(glorot(rng, h, h)))
+        return DiversityScorer(kind, {"scorer.bilinear": T.parameter(glorot(rng, h, h))})
     if kind == "mlp":
-        return DiversityScorer(
-            kind="mlp",
-            mlp_hidden=T.parameter(glorot(rng, 2 * h, h)),
-            mlp_out=T.parameter(glorot(rng, h, 1)),
-        )
+        hidden, out = T.parameter(glorot(rng, 2 * h, h)), T.parameter(glorot(rng, h, 1))
+        return DiversityScorer(kind, {"scorer.mlp_hidden": hidden, "scorer.mlp_out": out})
     raise ConfigError(f"unknown scorer kind {kind!r}")
 
 
@@ -102,13 +87,14 @@ def diversity_scores(
     dst = np.asarray(dst, dtype=np.int64)
     if src.shape != dst.shape:
         raise ShapeError("src and dst index lengths differ")
+    p = scorer.params
     if scorer.kind == "bilinear":
         # (E W)[i] . E[j]: transform the n embeddings once, then score edges.
-        return T.sddmm(src, dst, T.matmul(e, scorer.bilinear_weight), e)
+        return T.sddmm(src, dst, T.matmul(e, p["scorer.bilinear"]), e)
     heads = T.gather_rows(e, src)
     tails = T.gather_rows(e, dst)
-    hidden = T.relu(T.matmul(T.concat_cols(heads, tails), scorer.mlp_hidden))
-    return T.reshape(T.matmul(hidden, scorer.mlp_out), (src.shape[0],))
+    hidden = T.relu(T.matmul(T.concat_cols(heads, tails), p["scorer.mlp_hidden"]))
+    return T.reshape(T.matmul(hidden, p["scorer.mlp_out"]), (src.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +154,7 @@ def _keep_top_similar(sim: np.ndarray, r: float, rng) -> np.ndarray | None:
 
 
 def _keep_uniform(sim: np.ndarray, r: float, rng: np.random.Generator) -> np.ndarray:
-    return np.sort(rng.choice(sim.size, size=keep_count(sim.size, r), replace=False))
+    return sample_batch(sim.size, keep_count(sim.size, r), rng)
 
 
 # The one definition of each mode, the method first: name -> keep rule. A
@@ -316,15 +302,6 @@ class TrainResult:
     report: RunReport
 
 
-def _detach_sparse(s: SparseAdjacency) -> SparseAdjacency:
-    return SparseAdjacency(
-        s.row_offsets.copy(),
-        s.col_indices.copy(),
-        T.constant(s.values.data.copy()),
-        s.n_cols,
-    )
-
-
 def _edge_stats(s: SparseAdjacency, g: Graph) -> tuple[int, int]:
     """Directed entries absent from the original graph, and the count of
     distinct undirected pairs among them."""
@@ -334,27 +311,26 @@ def _edge_stats(s: SparseAdjacency, g: Graph) -> tuple[int, int]:
 
 
 def _structure_for_epoch(
-    g: Graph,
     x: T.Tensor,
     a_hat: SparseAdjacency,
     params_s: GcnParams,
     scorer: DiversityScorer | None,
     cfg: TrainConfig,
     epoch: int,
-) -> tuple[T.Tensor, CandidateGraph, SparseAdjacency]:
-    """Encoder embeddings, candidate graph, and the mode's pruned structure."""
+) -> tuple[T.Tensor, SparseAdjacency, SparseAdjacency]:
+    """Encoder embeddings, candidate structure, and the mode's pruned structure."""
     e = encode_structure(a_hat, x, params_s)
     cand = build_candidates(e, cfg.k, cfg.metric)
-    r, sim = cfg.reduction, cand.sparse.values
+    candidates, r = cand.sparse, cfg.reduction
+    sim = candidates.values
     if scorer is not None:
-        src, dst = cand.pairs()
-        w = diversity_scores(e, src, dst, scorer)
-        return e, cand, prune(cand, w, select_threshold(sim.data * w.data, r))
+        w = diversity_scores(e, *candidates.directed_pairs(), scorer)
+        return e, candidates, prune(cand, w, select_threshold(sim.data * w.data, r))
     rng = np.random.default_rng([cfg.seed, 2, epoch])
     kept = MODE_TABLE[cfg.mode](sim.data, r, rng)
     if kept is None:
-        return e, cand, cand.sparse
-    return e, cand, _subset_csr(cand.sparse, kept, T.take(sim, kept))
+        return e, candidates, candidates
+    return e, candidates, _subset_csr(candidates, kept, T.take(sim, kept))
 
 
 def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
@@ -373,8 +349,8 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
     scorer = None
     if MODE_TABLE[cfg.mode] is None:
         scorer = make_scorer(cfg.scorer_kind, cfg.hidden, rng)
-        named.update(scorer.parameters())
-    state = TrainState(dict(named))
+        named.update(scorer.params)
+    state = TrainState(named)
 
     a_hat = normalize_adjacency(g)
     x = T.constant(g.features)
@@ -383,14 +359,14 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
     best, since_best = None, 0
 
     def forward(epoch: int) -> tuple:
-        e, cand, s = _structure_for_epoch(g, x, a_hat, params_s, scorer, cfg, epoch)
+        e, candidates, s = _structure_for_epoch(x, a_hat, params_s, scorer, cfg, epoch)
         adj = fuse_with_original(g, s, cfg.residual_weight)
-        return (e, cand, s, adj, *gcn_forward(adj, x, params_t))
+        return (e, candidates, s, adj, *gcn_forward(adj, x, params_t))
 
     def evaluate(epoch: int, fwd: tuple) -> bool:
         """Score and maybe snapshot ``epoch``'s parameters; True once patience runs out."""
         nonlocal best, since_best
-        e, cand, s, adj, _, logits = fwd
+        e, candidates, s, adj, _, logits = fwd
         val = accuracy(logits, g.labels, g.val_mask)
         # Detached, so that scoring records nothing on a training tape.
         val_loss = float(task_loss(T.constant(logits.data), g.labels, g.val_mask).data)
@@ -403,11 +379,11 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
             "val_loss": val_loss,
             "test": accuracy(logits, g.labels, g.test_mask),
             "epoch": epoch,
-            "pruned": _detach_sparse(s),
+            "pruned": replace(s, values=T.constant(s.values.data)),
             "embeddings": e.data.copy(),
             "params": {n: p.data.copy() for n, p in named.items()},
             "fused_nnz": adj.nnz,
-            "candidates": cand.sparse.nnz,
+            "candidates": candidates.nnz,
         }
         since_best = 0
         return False
@@ -422,14 +398,14 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
             if epoch > 0 and evaluate(epoch - 1, fwd):
                 return True
             at = epoch
-            _, cand, s_t, _, z_t, logits = fwd
+            _, candidates, s_t, _, z_t, logits = fwd
             loss = task_loss(logits, g.labels, g.train_mask)
             if cfg.lam > 0:
                 rows, cols = s_t.directed_pairs()
                 reg = feature_smoothness(s_t.values, rows, cols, g.features)
                 loss = gsl_objective(loss, reg, cfg.lam)
             if scorer is not None and cfg.beta > 0:
-                adj_full = fuse_with_original(g, cand, cfg.residual_weight)
+                adj_full = fuse_with_original(g, candidates, cfg.residual_weight)
                 # Representations only: the contrastive term never reads logits.
                 z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
                 # Rows zeroed by dead ReLU units have no cosine; restrict

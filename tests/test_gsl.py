@@ -278,7 +278,7 @@ class TestFusion:
         g = random_graph(rng, 8)
         e = rng.uniform(0.1, 1.0, (8, 3))
         cand = build_candidates(T.constant(e), 2)
-        fused = fuse_with_original(g, cand, residual_weight=0.0)
+        fused = fuse_with_original(g, cand.sparse, residual_weight=0.0)
         assert np.array_equal(fused.to_dense(), normalize_adjacency(g).to_dense())
 
     def test_empty_candidates_recovers_original(self):
@@ -298,7 +298,7 @@ class TestFusion:
         e = rng.uniform(0.1, 1.0, (5, 3))
         cand = build_candidates(T.constant(e), 2)
         w = 0.7
-        fused = fuse_with_original(g, cand, residual_weight=w)
+        fused = fuse_with_original(g, cand.sparse, residual_weight=w)
 
         a = np.zeros((5, 5))
         for i, j in g.edges:
@@ -325,7 +325,7 @@ class TestFusion:
 
         def f(p):
             cand = build_candidates(p, 2)
-            fused = fuse_with_original(g, cand, residual_weight=1.0)
+            fused = fuse_with_original(g, cand.sparse, residual_weight=1.0)
             return T.sum_all(T.mul(fused.values, T.constant(np.arange(1.0, fused.nnz + 1.0))))
 
         assert T.gradient_check(f, [e]) < 1e-4

@@ -23,6 +23,7 @@ from ingsl.gsl import CandidateGraph, build_candidates, encode_structure, fuse_w
 from ingsl.pruning import (
     KEEP_ALL,
     MODES,
+    SCORER_KINDS,
     DiversityScorer,
     TrainConfig,
     diversity_scores,
@@ -48,7 +49,7 @@ class TestDiversityScores:
     def test_identity_bilinear_is_inner_product(self):
         rng = np.random.default_rng(0)
         e = T.constant(rng.normal(size=(5, 3)))
-        scorer = DiversityScorer(kind="bilinear", bilinear_weight=T.parameter(np.eye(3)))
+        scorer = DiversityScorer("bilinear", {"scorer.bilinear": T.parameter(np.eye(3))})
         src, dst = np.array([0, 1, 2]), np.array([1, 2, 3])
         w = diversity_scores(e, src, dst, scorer)
         want = (e.data[src] * e.data[dst]).sum(axis=1)
@@ -66,7 +67,7 @@ class TestDiversityScores:
         rng = np.random.default_rng(2)
         e = rng.normal(size=(6, 4))
         w1 = rng.normal(size=(4, 4))
-        scorer = DiversityScorer(kind="bilinear", bilinear_weight=T.parameter(w1))
+        scorer = DiversityScorer("bilinear", {"scorer.bilinear": T.parameter(w1)})
         src = np.array([0, 1, 2, 3, 4, 5, 0])
         dst = np.array([1, 2, 3, 4, 5, 0, 3])
         got = diversity_scores(T.constant(e), src, dst, scorer).data
@@ -77,21 +78,17 @@ class TestDiversityScores:
         rng = np.random.default_rng(3)
         e = T.parameter(rng.uniform(0.3, 1.0, (5, 3)))
         scorer = make_scorer("mlp", 3, rng)
-        scorer.mlp_hidden.data *= 3.0  # keep hidden pre-activations off the kink
+        scorer.params["scorer.mlp_hidden"].data *= 3.0  # keep hidden pre-activations off the kink
         src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
         out = diversity_scores(e, src, dst, scorer)
         assert out.shape == (3,)
         err = T.gradient_check(
             lambda *_: T.sum_all(diversity_scores(e, src, dst, scorer)),
-            [e, scorer.mlp_hidden, scorer.mlp_out],
+            [e, *scorer.params.values()],
         )
         assert err < 1e-4
 
     def test_unpopulated_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            DiversityScorer(kind="bilinear")
-        with pytest.raises(ConfigError):
-            DiversityScorer(kind="mlp", bilinear_weight=T.parameter(np.eye(2)))
         with pytest.raises(ConfigError):
             make_scorer("quadratic", 3, np.random.default_rng(0))
 
@@ -341,11 +338,11 @@ class TestThresholdPruneComposition:
             adj_t = fuse_with_original(g, s_t, 1.0)
             z_t, logits = gcn_forward(adj_t, x, params_t)
             base = task_loss(logits, g.labels, g.train_mask)
-            adj_f = fuse_with_original(g, cand, 1.0)
+            adj_f = fuse_with_original(g, cand.sparse, 1.0)
             z_f, _ = gcn_forward(adj_f, x, params_t)
             return total_loss(base, mi_loss(z_t, z_f, ids), 0.5)
 
-        leaves = [scorer.bilinear_weight, params_s.layer_weights[0], params_t.layer_weights[0]]
+        leaves = [scorer.params["scorer.bilinear"], params_s.layer_weights[0], params_t.layer_weights[0]]
         assert T.gradient_check(f, leaves) < 1e-4
 
 
@@ -438,11 +435,24 @@ class TestTraining:
 
     def test_all_modes_complete(self):
         g = self.small_graph()
-        for mode in MODES:
-            res = train_ingsl(g, self.config(mode=mode))
+        h = self.config().hidden
+        shapes = {
+            "bilinear": {"scorer.bilinear": (h, h)},
+            "mlp": {"scorer.mlp_hidden": (2 * h, h), "scorer.mlp_out": (h, 1)},
+        }
+        runs = [("ingsl", kind) for kind in SCORER_KINDS]
+        runs += [(mode, "bilinear") for mode in MODES if mode != "ingsl"]
+        for mode, kind in runs:
+            res = train_ingsl(g, self.config(mode=mode, scorer_kind=kind))
             rep = res.report
-            has_scorer = any(name.startswith("scorer.") for name in res.params)
-            assert has_scorer == (mode == "ingsl"), mode
+            # The report names the scorer's tensors as make_scorer does.
+            got = {n: p.shape for n, p in res.params.items() if n.startswith("scorer.")}
+            if mode == "ingsl":
+                made = make_scorer(kind, h, np.random.default_rng(0)).params
+                assert got == {n: p.shape for n, p in made.items()} == shapes[kind], kind
+            else:
+                assert not got, mode
+            assert not res.pruned.values.requires_grad, mode
             assert 0.0 <= rep.test_acc <= 1.0
             assert rep.edges_candidate == g.n * 4
             if mode == "no_reduction":
@@ -455,6 +465,28 @@ class TestTraining:
         for r in (0.25, 0.5, 0.75):
             res = train_ingsl(g, self.config(reduction=r))
             assert res.report.edges_final == keep_count(g.n * 4, r)
+
+    @pytest.mark.parametrize("epoch", [0, 1, 7])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
+    def test_random_prune_keeps_the_epoch_draw(self, epoch, r):
+        # random_prune keeps keep_count(m, r) distinct candidates drawn by the
+        # generator (seed, 2, epoch), in candidate order. The benchmark's
+        # recorded random_prune accuracies rest on this draw.
+        g = self.small_graph()
+        cfg = self.config(mode="random_prune", reduction=r, seed=4)
+        params_s = make_gcn_params(np.random.default_rng(0), [g.d, 8, 8])
+        x = T.constant(g.features)
+        _, cand, s = pruning._structure_for_epoch(
+            x, normalize_adjacency(g), params_s, None, cfg, epoch
+        )
+        m = cand.nnz
+        draw = np.random.default_rng([cfg.seed, 2, epoch]).choice(m, keep_count(m, r), replace=False)
+        want = np.sort(draw)
+        rows, cols = cand.directed_pairs()
+        got_rows, got_cols = s.directed_pairs()
+        assert np.array_equal(got_rows, rows[want])
+        assert np.array_equal(got_cols, cols[want])
+        assert np.array_equal(s.values.data, cand.values.data[want])
 
     def test_random_prune_single_survivor_completes(self):
         g = self.small_graph()
@@ -480,7 +512,7 @@ class TestTraining:
         # constant weight gets zero gradient, so Adam leaves it unchanged.
         # The exact sddmm kernel scores edges as the gather chain below does.
         monkeypatch.setattr(T, "_DENSE_CELLS", 0)
-        identity = DiversityScorer("bilinear", bilinear_weight=T.constant(np.eye(8)))
+        identity = DiversityScorer("bilinear", {"scorer.bilinear": T.constant(np.eye(8))})
         monkeypatch.setattr(pruning, "make_scorer", lambda kind, h, rng: identity)
         g = self.small_graph()
         cfg = self.config(reduction=0.0, beta=0.0, epochs=4, patience=4)
@@ -564,10 +596,10 @@ class TestTraining:
         params_t = GcnParams([p["gnn_t.layer0"], p["gnn_t.layer1"]], p["gnn_t.classifier"])
         scorer = None
         if mode == "ingsl":
-            scorer = DiversityScorer("bilinear", bilinear_weight=p["scorer.bilinear"])
+            scorer = DiversityScorer("bilinear", {"scorer.bilinear": p["scorer.bilinear"]})
         x = T.constant(g.features)
         e, _, s = pruning._structure_for_epoch(
-            g, x, normalize_adjacency(g), params_s, scorer, cfg, rep.best_epoch + 1
+            x, normalize_adjacency(g), params_s, scorer, cfg, rep.best_epoch + 1
         )
         _, logits = gcn_forward(fuse_with_original(g, s, cfg.residual_weight), x, params_t)
         assert accuracy(logits, g.labels, g.test_mask) == rep.test_acc
