@@ -15,26 +15,15 @@ import pytest
 
 from ingsl import tensor as T
 from ingsl.analysis import complexity_estimate, lemma1_check, lemma2_check
-from ingsl.cli import default_battery, main, run_gradcheck_battery
+from ingsl.cli import default_battery, main, parse_config, run_experiment, run_gradcheck_battery
 from ingsl.gnn import gcn_forward, make_gcn_params, task_loss
-from ingsl.graph import edge_homophily, generate_sbm, inject_structural_noise, load_bundle, normalize_adjacency
+from ingsl.graph import edge_homophily, load_bundle, normalize_adjacency
 from ingsl.gsl import build_candidates
-from ingsl.pruning import (
-    TrainConfig,
-    keep_count,
-    mi_loss,
-    prune,
-    sample_batch,
-    select_threshold,
-    train_ingsl,
-)
-from test_cli import strip_wall_time, write_config
+from ingsl.pruning import keep_count, mi_loss, prune, sample_batch, select_threshold
+from test_cli import experiment_config, strip_wall_time, write_config
 from test_graph import random_graph
 
 from oracles import ce_mean, dense_normalize, mi_naive, topk_brute
-
-BENCH_SBM = dict(block_sizes=[50] * 4, p_in=0.1, p_out=0.01, feature_dim=8,
-                 feature_noise=1.0, seed=7)
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:
@@ -42,8 +31,18 @@ def check(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def bench_config(mode: str, seed: int, r: float = 0.5) -> TrainConfig:
-    return TrainConfig(mode=mode, reduction=r, beta=0.5, seed=seed, metric="cosine")
+def aggregates(name: str, **overrides) -> dict:
+    """Run ``configs/<name>.json``, with ``overrides`` replacing top-level
+    keys, as ``ingsl train`` runs it; return the report's aggregates."""
+    return run_experiment(parse_config({**experiment_config(name), **overrides}))["aggregates"]
+
+
+def summary(agg: dict) -> str:
+    """Each mode's mean test accuracy and mean edges kept at r 0.5."""
+    return ", ".join(
+        f"{mode} {per_r['0.5']['mean_test_acc']:.4f} ({per_r['0.5']['mean_edges_final']:g} edges)"
+        for mode, per_r in agg.items()
+    )
 
 
 def test_criterion_01_similarity_floor_10k_trials():
@@ -153,16 +152,10 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_directional_sbm_benchmark():
-    g = generate_sbm(**BENCH_SBM)
     t0 = time.perf_counter()
-    means = {}
-    for mode in ("ingsl", "similarity_only", "random_prune"):
-        accs = [
-            train_ingsl(g, bench_config(mode, seed)).report.test_acc
-            for seed in range(10)
-        ]
-        means[mode] = float(np.mean(accs))
+    agg = aggregates("clean_r50")
     elapsed = time.perf_counter() - t0
+    means = {mode: per_r["0.5"]["mean_test_acc"] for mode, per_r in agg.items()}
     ok = (
         means["ingsl"] >= means["similarity_only"]
         and means["ingsl"] >= means["random_prune"] + 0.01
@@ -171,8 +164,7 @@ def test_criterion_06_directional_sbm_benchmark():
     check(
         "criterion 6 (directional desk-scale benchmark, r=0.5, 10 seeds)",
         ok,
-        f"ingsl {means['ingsl']:.4f} vs similarity {means['similarity_only']:.4f} "
-        f"vs random {means['random_prune']:.4f}, {elapsed:.0f}s (< 300s)",
+        f"{summary(agg)}, {elapsed:.0f}s (< 300s)",
     )
 
 
@@ -188,16 +180,17 @@ def test_criterion_07_optional_cora_checks():
         g.n == 2708 and g.num_edges == 5278 and abs(hom - 0.81) <= 0.01,
         f"n={g.n} (want 2708), edges={g.num_edges} (want 5278), homophily={hom:.3f} (0.81 +/- 0.01)",
     )
-    gaps = []
-    for r in (0.3, 0.5):
-        means = {}
-        for mode in ("ingsl", "similarity_only"):
-            accs = [
-                train_ingsl(g, bench_config(mode, seed, r=r)).report.test_acc
-                for seed in range(5)
-            ]
-            means[mode] = float(np.mean(accs))
-        gaps.append((r, means["ingsl"] - means["similarity_only"]))
+    agg = aggregates(
+        "clean_r50",
+        dataset={"bundle": os.environ["INGSL_CORA_BUNDLE"]},
+        reduction_levels=[0.3, 0.5],
+        seeds=list(range(5)),
+        modes=["ingsl", "similarity_only"],
+    )
+    gaps = [
+        (r, agg["ingsl"][r]["mean_test_acc"] - agg["similarity_only"][r]["mean_test_acc"])
+        for r in ("0.3", "0.5")
+    ]
     check(
         "criterion 7b (Cora direction, r in {0.3, 0.5}, 5 seeds)",
         all(gap > 0 for _, gap in gaps),
@@ -206,19 +199,12 @@ def test_criterion_07_optional_cora_checks():
 
 
 def test_criterion_08_robustness_direction_under_deletion():
-    g = generate_sbm(**BENCH_SBM)
-    means = {}
-    for mode in ("ingsl", "similarity_only"):
-        accs = []
-        for seed in range(10):
-            noisy = inject_structural_noise(g, 0.0, 0.3, seed=hash((seed, 1)) % 2**31)
-            accs.append(train_ingsl(noisy, bench_config(mode, seed)).report.test_acc)
-        means[mode] = float(np.mean(accs))
-    gap = means["ingsl"] - means["similarity_only"]
+    agg = aggregates("edge_deletion")
+    gap = agg["ingsl"]["0.5"]["mean_test_acc"] - agg["similarity_only"]["0.5"]["mean_test_acc"]
     check(
         "criterion 8 (robustness direction, del_ratio=0.3, 10 seeds)",
         gap >= 0.0,
-        f"ingsl {means['ingsl']:.4f} vs similarity {means['similarity_only']:.4f}, gap {gap:+.4f} (>= 0)",
+        f"{summary(agg)}, gap {gap:+.4f} (>= 0)",
     )
 
 

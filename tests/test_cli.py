@@ -1,9 +1,9 @@
 import contextlib
 import ctypes
-import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -26,6 +26,12 @@ from ingsl.pruning import MODES, SCORER_KINDS, TrainConfig, train_ingsl
 
 
 ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+
+
+def experiment_config(name: str) -> dict:
+    """The committed experiment config ``configs/<name>.json``."""
+    return json.loads((CONFIGS / f"{name}.json").read_text())
 
 
 def strip_wall_time(obj):
@@ -181,18 +187,17 @@ class TestConfigParsing:
 
     def test_documented_and_scripted_configs_parse(self):
         # A schema change must not silently break the README's example or
-        # the configs the benchmark script writes.
-        blocks = (ROOT / "README.md").read_text().split("```json\n")[1:]
+        # the committed experiment configs, and the README names each config.
+        readme = (ROOT / "README.md").read_text()
+        blocks = readme.split("```json\n")[1:]
         assert blocks
         for block in blocks:
             parse_config(json.loads(block.split("```", 1)[0]))
-        path = ROOT / "scripts" / "run_sbm_benchmark.py"
-        spec = importlib.util.spec_from_file_location("run_sbm_benchmark", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        assert script.RUNS
-        for _, cfg in script.RUNS:
-            parse_config(cfg)
+        names = sorted(path.stem for path in CONFIGS.glob("*.json"))
+        assert names == ["ci_threads", "clean_r50", "edge_deletion", "feature_masking", "sweep"]
+        for name in names:
+            parse_config(experiment_config(name))
+        assert sorted(set(re.findall(r"configs/(\w+)\.json", readme))) == names
 
     def test_train_config_carries_every_shared_field(self):
         cfg = parse_config(
@@ -824,14 +829,11 @@ class TestDiagnoseRedundancy:
             assert abs(float(line.split(",")[1]) - 1.0) < 1e-9
 
     def test_diagnose_redundancy_leaves_out_zero_rows(self, tmp_path, capsys):
-        # On the benchmark SBM, seed 0's encoder ends with all-zero rows; the
-        # profile leaves them out and says how many.
-        sbm = {"block_sizes": [50] * 4, "p_in": 0.1, "p_out": 0.01, "feature_dim": 8,
-               "feature_noise": 1.0, "seed": 7}
+        # On the criterion-6 SBM, seed 0's encoder ends with all-zero rows;
+        # the profile leaves them out and says how many.
+        dataset = experiment_config("clean_r50")["dataset"]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"dataset": {"sbm": sbm}, "k": 30, "lambda": 0.3, "metric": "cosine"}
-        ))
+        cfg.write_text(json.dumps({"dataset": dataset, "k": 30, "lambda": 0.3, "metric": "cosine"}))
         out = tmp_path / "diag"
         argv = ["diagnose-redundancy", "--config", str(cfg), "--out", str(out), "--seed", "0"]
         assert main(argv) == 0
