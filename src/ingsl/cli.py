@@ -334,15 +334,13 @@ def _write_cells_csv(path: Path, cells: list[dict]) -> None:
 
 
 def _tiny_adjacency(rng: np.random.Generator, n: int) -> SparseAdjacency:
-    """Small random CSR structure (two fixed neighbors per row)."""
+    """Small random structure (two fixed neighbors per row)."""
     cols = []
     for i in range(n):
         picks = sorted(rng.choice([j for j in range(n) if j != i], 2, replace=False))
         cols.extend(picks)
-    offsets = np.arange(n + 1, dtype=np.int64) * 2
-    cols = np.array(cols, dtype=np.int64)
-    values = T.parameter(rng.uniform(0.2, 1.0, cols.shape[0]))
-    return SparseAdjacency(offsets, cols, values, n)
+    values = T.parameter(rng.uniform(0.2, 1.0, len(cols)))
+    return SparseAdjacency(np.repeat(np.arange(n), 2), cols, values, n)
 
 
 def _gcn_case(rng: np.random.Generator):
@@ -379,8 +377,7 @@ def _prune_case(rng: np.random.Generator):
     vals = T.parameter(rng.uniform(0.3, 1.0, n * k))
     w = T.parameter(rng.uniform(0.3, 1.0, n * k))
     cols = np.sort(np.array([[(i + 1) % n, (i + 2) % n] for i in range(n)]), axis=1)
-    offsets = np.arange(n + 1, dtype=np.int64) * k
-    cand = CandidateGraph(SparseAdjacency(offsets, cols.reshape(-1), vals, n))
+    cand = CandidateGraph(SparseAdjacency(np.repeat(np.arange(n), k), cols.reshape(-1), vals, n))
     x = vals.data * w.data
     eps = select_threshold(x, 0.5)
     if np.abs(x - eps).min() < 1e-3:  # keep the mask stable across the FD perturbation
@@ -434,9 +431,8 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     adj = _tiny_adjacency(np.random.default_rng([seed, 12]), 6)
     nsrc = np.array([0, 1, 2, 3, 1, 2, 3, 0])
     ndst = np.array([1, 0, 3, 2, 2, 1, 0, 3])
-    # 3 entries in a 12 x 10 CSR and 2 in a 10 x 8 sample (40 cells per
+    # 3 entries in a 12 x 10 product and 2 in a 10 x 8 sample (40 cells per
     # entry) take the exact kernels; the instances above take the GEMMs.
-    soffsets = np.array([0, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3])
     rows = [
         ("add", T.add, [(3, 4), (3, 4)], "any"),
         ("sub", T.sub, [(3, 4), (3, 4)], "any"),
@@ -462,7 +458,7 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
         ("segment_sum", lambda p: T.segment_sum(p, [0, 1, 1, 2, 0, 2], 3), [(6,)], "any"),
         (
             "spmm",
-            lambda v, d: T.spmm(adj.row_offsets, adj.col_indices, v, d),
+            lambda v, d: T.spmm(adj.row_indices, adj.col_indices, v, d, adj.n),
             [(adj.nnz,), (6, 3)],
             "any",
         ),
@@ -473,7 +469,7 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
             "positive",
         ),
         ("sddmm", lambda u, v: T.sddmm(nsrc, ndst[::-1], u, v), [(4, 3), (4, 3)], "any"),
-        ("spmm_sparse", lambda v, d: T.spmm(soffsets, [2, 7, 0], v, d), [(3,), (10, 2)], "any"),
+        ("spmm_sparse", lambda v, d: T.spmm([0, 0, 5], [2, 7, 0], v, d, 12), [(3,), (10, 2)], "any"),
         ("sddmm_sparse", lambda u, v: T.sddmm([3, 9], [7, 0], u, v), [(10, 2), (8, 2)], "any"),
     ]
     composites = [

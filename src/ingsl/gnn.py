@@ -70,8 +70,8 @@ def gcn_forward(
     Gradient flows to the layer weights, the input features, and the
     adjacency edge values.
     """
-    if adj.n_rows != x.shape[0]:
-        raise ShapeError(f"adjacency rows {adj.n_rows} != feature rows {x.shape[0]}")
+    if adj.n != x.shape[0]:
+        raise ShapeError(f"adjacency rows {adj.n} != feature rows {x.shape[0]}")
     h = x
     for w in params.layer_weights:
         h = T.relu(T.matmul(adj.matmul(h), w))

@@ -116,51 +116,51 @@ class Graph:
 
 @dataclass
 class SparseAdjacency:
-    """Compressed row-oriented weighted adjacency with differentiable values."""
+    """Weighted n x n adjacency with differentiable values: entry e puts
+    ``values[e]`` at (``row_indices[e]``, ``col_indices[e]``). Entries are in
+    row-major order with no repeated cell."""
 
-    row_offsets: np.ndarray  # [n_rows + 1]
+    row_indices: np.ndarray  # [nnz]
     col_indices: np.ndarray  # [nnz]
     values: T.Tensor  # [nnz]
-    n_cols: int
+    n: int
 
     def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        if (self.row_offsets[1:] < self.row_offsets[:-1]).any():
-            raise ConfigError("row_offsets must be non-decreasing")
-        if self.row_offsets[-1] != self.col_indices.shape[0]:
-            raise ConfigError("row_offsets end must equal nnz")
-        if self.values.shape != (self.col_indices.shape[0],):
-            raise ConfigError("values must align with col_indices")
-        if self.nnz > 1:
-            row_start = np.zeros(self.nnz, dtype=bool)
-            starts = self.row_offsets[1:-1]
-            row_start[starts[starts < self.nnz]] = True
-            bad = (self.col_indices[1:] <= self.col_indices[:-1]) & ~row_start[1:]
-            if bad.any():
-                raise ConfigError("col_indices must increase strictly within each row")
+        rows = self.row_indices = np.asarray(self.row_indices, dtype=np.int64)
+        cols = self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
+        n = self.n
+        if rows.ndim != 1 or rows.shape != cols.shape or self.values.shape != cols.shape:
+            raise ConfigError("row_indices, col_indices and values must be 1-D and aligned")
+        if not cols.size:
+            return
+        # A negative index reads as a huge unsigned one, so one max bounds
+        # each array; in range, the cell keys row * n + col cannot overflow.
+        if int(max(np.maximum.reduce(a.view(np.uint64)) for a in (rows, cols))) >= n:
+            raise ConfigError(f"entry index outside [0, {n})")
+        keys = rows * n
+        keys += cols
+        if (keys[1:] <= keys[:-1]).any():
+            raise ConfigError("entries must be in row-major order with no repeated cell")
 
     @property
     def n_rows(self) -> int:
-        return int(self.row_offsets.shape[0] - 1)
+        """Read-only alias of ``n``, read by the benchmark's GCN flop hook."""
+        return self.n
 
     @property
     def nnz(self) -> int:
         return int(self.col_indices.shape[0])
 
-    def edge_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_rows), self.row_offsets[1:] - self.row_offsets[:-1])
-
     def matmul(self, dense: T.Tensor) -> T.Tensor:
-        return T.spmm(self.row_offsets, self.col_indices, self.values, dense)
+        return T.spmm(self.row_indices, self.col_indices, self.values, dense, self.n)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.edge_rows(), self.col_indices] = self.values.data
+        out = np.zeros((self.n, self.n))
+        out[self.row_indices, self.col_indices] = self.values.data
         return out
 
     def directed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.edge_rows(), self.col_indices.copy()
+        return self.row_indices.copy(), self.col_indices.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,7 @@ def normalize_entries(
     u_dst = (uniq % n).astype(np.int64)
 
     values = T.mul(T.mul(T.take(inv_sqrt, u_src), T.take(inv_sqrt, u_dst)), coalesced)
-    row_offsets = np.concatenate([[0], np.cumsum(np.bincount(u_src, minlength=n))])
-    return SparseAdjacency(row_offsets, u_dst, values, n)
+    return SparseAdjacency(u_src, u_dst, values, n)
 
 
 def normalize_adjacency(g: Graph) -> SparseAdjacency:

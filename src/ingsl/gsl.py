@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DomainError, ShapeError
 from .gnn import GcnParams, gcn_forward
-from .graph import Graph, SparseAdjacency, both_directions, normalize_adjacency, normalize_entries
+from .graph import Graph, SparseAdjacency, both_directions, normalize_entries
 
 
 @dataclass
@@ -23,7 +23,7 @@ class CandidateGraph:
 
     @property
     def n(self) -> int:
-        return self.sparse.n_rows
+        return self.sparse.n
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         return self.sparse.directed_pairs()
@@ -98,9 +98,7 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
     src = np.repeat(np.arange(n), k)
     dst = cols.reshape(-1)
     values = T.sddmm(src, dst, base, base, product=sim)
-    row_offsets = np.arange(n + 1, dtype=np.int64) * k
-    sparse = SparseAdjacency(row_offsets, dst, values, n)
-    return CandidateGraph(sparse=sparse)
+    return CandidateGraph(sparse=SparseAdjacency(src, dst, values, n))
 
 
 def gsl_objective(task: T.Tensor, reg: T.Tensor, lam: float) -> T.Tensor:
@@ -120,21 +118,18 @@ def feature_smoothness(
 
 
 def fuse_with_original(
-    a: Graph, sparse: SparseAdjacency | None, residual_weight: float = 1.0
+    a: Graph, sparse: SparseAdjacency, residual_weight: float = 1.0
 ) -> SparseAdjacency:
     """Normalize the edge-value union of the original graph and the learned
     candidates scaled by ``residual_weight``. Original edges carry unit weight
-    in both directions; candidate entries stay directed as given.
+    in both directions; candidate entries stay directed as given. With no
+    candidate entries this is ``normalize_adjacency(a)``, bit for bit.
     """
     if residual_weight < 0:
         raise DomainError("residual_weight must be non-negative")
-    if sparse is None or sparse.nnz == 0:
-        return normalize_adjacency(a)
-
     src, dst = both_directions(a.edges)
-    s_src, s_dst = sparse.directed_pairs()
-    all_src = np.concatenate([src, s_src])
-    all_dst = np.concatenate([dst, s_dst])
+    all_src = np.concatenate([src, sparse.row_indices])
+    all_dst = np.concatenate([dst, sparse.col_indices])
     base_w = T.constant(np.ones(src.shape[0]))
     all_w = T.concat_vec(base_w, T.mul(sparse.values, float(residual_weight)))
     return normalize_entries(a.n, all_src, all_dst, all_w)

@@ -128,10 +128,9 @@ def select_threshold(x_values, r: float) -> float:
     return float(-np.partition(-x, keep - 1)[keep - 1])
 
 
-def _subset_csr(sparse: SparseAdjacency, kept: np.ndarray, values: T.Tensor) -> SparseAdjacency:
-    counts = np.bincount(sparse.edge_rows()[kept], minlength=sparse.n_rows)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return SparseAdjacency(offsets, sparse.col_indices[kept], values, sparse.n_cols)
+def _subset(sparse: SparseAdjacency, kept: np.ndarray, values: T.Tensor) -> SparseAdjacency:
+    """The entries at the ascending indices ``kept``, carrying ``values``."""
+    return SparseAdjacency(sparse.row_indices[kept], sparse.col_indices[kept], values, sparse.n)
 
 
 def prune(s: CandidateGraph, w: T.Tensor, eps_thr: float) -> SparseAdjacency:
@@ -146,7 +145,7 @@ def prune(s: CandidateGraph, w: T.Tensor, eps_thr: float) -> SparseAdjacency:
         raise ShapeError(f"score vector {w.shape} misaligned with edges {vals.shape}")
     x = T.mul(vals, w)
     kept = np.flatnonzero(x.data >= eps_thr)
-    return _subset_csr(s.sparse, kept, T.sigmoid(T.take(x, kept)))
+    return _subset(s.sparse, kept, T.sigmoid(T.take(x, kept)))
 
 
 def _keep_top_similar(sim: np.ndarray, r: float, rng) -> np.ndarray | None:
@@ -330,7 +329,7 @@ def _structure_for_epoch(
     kept = MODE_TABLE[cfg.mode](sim.data, r, rng)
     if kept is None:
         return e, candidates, candidates
-    return e, candidates, _subset_csr(candidates, kept, T.take(sim, kept))
+    return e, candidates, _subset(candidates, kept, T.take(sim, kept))
 
 
 def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:

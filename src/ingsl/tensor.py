@@ -555,8 +555,10 @@ def _sddmm(rows: np.ndarray, cols: np.ndarray, u: np.ndarray, v: np.ndarray) -> 
     return out
 
 
-def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
-    """CSR sparse times dense: out[i] = sum_e values[e] * dense[col[e]].
+def spmm(rows, cols, values: Tensor, dense: Tensor, n_rows: int) -> Tensor:
+    """Sparse times dense: out[rows[e]] += values[e] * dense[cols[e]], into
+    an n_rows-row zero array. Entries may come in any order and repeat a
+    cell; row-sorted entries skip ``_scatter_add``'s sort.
 
     Gradient flows to each of the edge values and the dense operand that
     requires it; the other's is not computed. The backward is the adjoint
@@ -564,26 +566,22 @@ def spmm(row_offsets, col_indices, values: Tensor, dense: Tensor) -> Tensor:
     the dense operand, and the dense gradient is ``_spmm`` over the
     transposed entries.
     """
-    offs = np.asarray(row_offsets, dtype=np.int64)
-    cols = np.asarray(col_indices, dtype=np.int64)
-    n_rows = offs.shape[0] - 1
-    if values.data.ndim != 1 or values.shape[0] != cols.shape[0]:
-        raise ShapeError("spmm: values must be 1-D and aligned with col_indices")
     if dense.data.ndim != 2:
         raise ShapeError(f"spmm: dense operand must be 2-D, got {dense.shape}")
-    if offs[-1] != cols.shape[0]:
-        raise ShapeError("spmm: row_offsets inconsistent with edge count")
-    if cols.size and (np.minimum.reduce(cols) < 0 or np.maximum.reduce(cols) >= dense.shape[0]):
-        raise DomainError("spmm: column index out of range")
-    rows = np.repeat(np.arange(n_rows), offs[1:] - offs[:-1])
+    ra = _index_array(rows, n_rows, "spmm")
+    ca = _index_array(cols, dense.shape[0], "spmm")
+    if ra.shape != ca.shape:
+        raise ShapeError("spmm: row and column index lengths differ")
+    if values.data.ndim != 1 or values.shape != ca.shape:
+        raise ShapeError("spmm: values must be 1-D and aligned with the indices")
     vd, dd = values.data, dense.data
 
     def bwd(g):
-        gv = _sddmm(rows, cols, g, dd) if values.requires_grad else None
-        gd = _spmm(cols, rows, vd, g, dd.shape[0]) if dense.requires_grad else None
+        gv = _sddmm(ra, ca, g, dd) if values.requires_grad else None
+        gd = _spmm(ca, ra, vd, g, dd.shape[0]) if dense.requires_grad else None
         return (gv, gd)
 
-    return _out(_spmm(rows, cols, vd, dd, n_rows), (values, dense), bwd, "spmm")
+    return _out(_spmm(ra, ca, vd, dd, n_rows), (values, dense), bwd, "spmm")
 
 
 def sddmm(rows, cols, u: Tensor, v: Tensor, product: np.ndarray | None = None) -> Tensor:

@@ -22,10 +22,7 @@ from oracles import adam_reference, ce_mean, dense_normalize
 
 def identity_adjacency(n):
     # Isolated nodes normalized: self-loops only, all weights 1.
-    return SparseAdjacency(
-        np.arange(n + 1, dtype=np.int64), np.arange(n, dtype=np.int64),
-        T.constant(np.ones(n)), n,
-    )
+    return SparseAdjacency(np.arange(n), np.arange(n), T.constant(np.ones(n)), n)
 
 
 class TestForward:
@@ -67,7 +64,7 @@ class TestForward:
         g = random_graph(rng, 6)
         a_hat = normalize_adjacency(g)
         values = T.parameter(a_hat.values.data.copy())
-        adj = SparseAdjacency(a_hat.row_offsets, a_hat.col_indices, values, 6)
+        adj = SparseAdjacency(a_hat.row_indices, a_hat.col_indices, values, 6)
         x = T.parameter(rng.uniform(0.5, 1.5, (6, 3)))
         params = make_gcn_params(rng, [3, 4, 4], 2)
         leaves = [values, x, *params.layer_weights, params.classifier]

@@ -10,6 +10,7 @@ from ingsl import tensor as T
 from ingsl.errors import CapacityError, ConfigError, MetricError, ParseError
 from ingsl.graph import (
     Graph,
+    SparseAdjacency,
     edge_homophily,
     generate_sbm,
     inject_structural_noise,
@@ -184,6 +185,38 @@ class TestGraphInvariants:
     def test_infinite_features_rejected(self, bad):
         with pytest.raises(ConfigError, match="NaN or infinite"):
             tiny_graph(features=np.array([[0, 0], [0, bad], [0, 0]]))
+
+
+class TestSparseAdjacency:
+    # (id, rows, cols, value count, error) on 3 nodes; error None accepts.
+    CASES = [
+        ("empty", [], [], 0, None),
+        ("row_major", [0, 0, 2], [0, 2, 1], 3, None),
+        ("rows_out_of_order", [1, 0], [0, 1], 2, "row-major"),
+        ("cols_out_of_order", [0, 0], [2, 1], 2, "row-major"),
+        ("repeated_cell", [0, 1, 1], [2, 0, 0], 3, "repeated"),
+        ("row_at_n", [0, 3], [0, 1], 2, "outside"),
+        ("negative_row", [-1, 0], [0, 1], 2, "outside"),
+        ("middle_row_at_n", [0, 5, 1], [0, 1, 2], 3, "outside"),
+        ("col_at_n", [0, 1], [0, 3], 2, "outside"),
+        ("negative_col", [0, 1], [-1, 0], 2, "outside"),
+        ("index_lengths_differ", [1, 1, 2], [0, 1], 2, "aligned"),
+        ("values_misaligned", [0, 1], [0, 1], 3, "aligned"),
+        ("2d_indices", [[0, 1]], [[0, 1]], 2, "aligned"),
+    ]
+
+    @pytest.mark.parametrize(
+        "rows,cols,m,error", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    )
+    def test_invariant(self, rows, cols, m, error):
+        def build():
+            return SparseAdjacency(rows, cols, T.constant(np.ones(m)), 3)
+
+        if error is None:
+            assert build().nnz == m
+        else:
+            with pytest.raises(ConfigError, match=error):
+                build()
 
 
 class TestNormalization:

@@ -18,11 +18,15 @@ from ingsl.gsl import (
     fuse_with_original,
     gsl_objective,
 )
-from ingsl.graph import normalize_adjacency
+from ingsl.graph import SparseAdjacency, generate_sbm, normalize_adjacency
 from test_gnn import identity_adjacency
 from test_graph import random_graph, tiny_graph
 
 from oracles import dense_normalize, topk_brute, topk_candidates_argsort
+
+
+def empty_adjacency(n):
+    return SparseAdjacency([], [], T.constant(np.zeros(0)), n)
 
 
 @st.composite
@@ -282,10 +286,13 @@ class TestFusion:
         assert np.array_equal(fused.to_dense(), normalize_adjacency(g).to_dense())
 
     def test_empty_candidates_recovers_original(self):
-        rng = np.random.default_rng(7)
-        g = random_graph(rng, 6)
-        fused = fuse_with_original(g, None, residual_weight=1.0)
-        assert np.array_equal(fused.to_dense(), normalize_adjacency(g).to_dense())
+        # Same entries and value bits, on a small graph and the benchmark SBM.
+        for g in (random_graph(np.random.default_rng(7), 6), generate_sbm([50] * 4, 0.1, 0.01, 8, 1.0, 0)):
+            fused = fuse_with_original(g, empty_adjacency(g.n), residual_weight=1.0)
+            want = normalize_adjacency(g)
+            assert np.array_equal(fused.row_indices, want.row_indices)
+            assert np.array_equal(fused.col_indices, want.col_indices)
+            assert np.array_equal(fused.values.data.view(np.int64), want.values.data.view(np.int64))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(8)
@@ -311,7 +318,7 @@ class TestFusion:
     def test_negative_residual_rejected(self):
         g = tiny_graph()
         with pytest.raises(DomainError):
-            fuse_with_original(g, None, residual_weight=-1.0)
+            fuse_with_original(g, empty_adjacency(g.n), residual_weight=-1.0)
 
     def test_gradient_through_fusion(self):
         rng = np.random.default_rng(9)

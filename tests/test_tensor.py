@@ -309,25 +309,25 @@ class TestGradientCheck:
 class TestStructureOps:
     def test_spmm_matches_dense(self):
         rng = np.random.default_rng(5)
-        offs = np.array([0, 2, 3, 5])
+        rows = np.array([0, 0, 1, 2, 2])
         cols = np.array([1, 2, 0, 0, 2])
         vals = T.constant(rng.uniform(0.1, 1.0, 5))
         dense = T.constant(rng.normal(size=(3, 4)))
         full = np.zeros((3, 3))
-        full[np.repeat(np.arange(3), np.diff(offs)), cols] = vals.data
-        got = T.spmm(offs, cols, vals, dense).data
+        full[rows, cols] = vals.data
+        got = T.spmm(rows, cols, vals, dense, 3).data
         assert np.abs(got - full @ dense.data).max() < 1e-12
 
     def test_spmm_gradients(self):
         rng = np.random.default_rng(6)
-        offs = np.array([0, 2, 4, 6])
+        rows = np.array([0, 0, 1, 1, 2, 2])
         cols = np.array([1, 2, 0, 2, 0, 1])
         vals = T.parameter(rng.uniform(0.1, 1.0, 6))
         dense = T.parameter(rng.normal(size=(3, 2)))
         weight = T.constant(np.arange(6.0).reshape(3, 2))
 
         def f(v, d):
-            return T.sum_all(T.mul(T.spmm(offs, cols, v, d), weight))
+            return T.sum_all(T.mul(T.spmm(rows, cols, v, d, 3), weight))
 
         assert T.gradient_check(f, [vals, dense]) < 1e-4
 
@@ -336,7 +336,7 @@ class TestStructureOps:
         # Only the operand that needs a gradient gets one computed, and its
         # bits are those of the run where both operands are learned.
         rng = np.random.default_rng(7)
-        offs = np.array([0, 2, 4, 6])
+        rows = np.array([0, 0, 1, 1, 2, 2])
         cols = np.array([1, 2, 0, 2, 0, 1])
         vals0, dense0 = rng.uniform(0.1, 1.0, 6), rng.normal(size=(3, 2))
         g = T.constant(rng.normal(size=(3, 2)))
@@ -345,7 +345,7 @@ class TestStructureOps:
             v = T.parameter(vals0) if learn_v else T.constant(vals0)
             d = T.parameter(dense0) if learn_d else T.constant(dense0)
             with T.Tape() as tape:
-                loss = T.sum_all(T.mul(T.spmm(offs, cols, v, d), g))
+                loss = T.sum_all(T.mul(T.spmm(rows, cols, v, d, 3), g))
                 if patch:
                     for name in ("_edge_dot", "_scatter_add"):
                         real = getattr(T, name)
@@ -541,22 +541,21 @@ class TestFusedMessageScatter:
         rng = np.random.default_rng([width, seed])
         counts = rng.integers(0, 9, size=12)
         counts[3] = 0  # a row with no edges
-        offsets = np.concatenate([[0], np.cumsum(counts)])
         rows = np.repeat(np.arange(12), counts)
         cols = rng.integers(10, size=rows.size)
         vals = rng.normal(size=rows.size)
         vals[::7] = -0.0
         dense = rng.normal(size=(10, width))
         dense[2] = -0.0
-        return offsets, rows, cols, vals, dense, rng.normal(size=(12, width))
+        return rows, cols, vals, dense, rng.normal(size=(12, width))
 
     @pytest.mark.parametrize("width", [3, T._WIDE, 130])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_spmm_equals_materialized_messages(self, exact_path, width, seed):
-        offsets, rows, cols, vals, dense0, g = self.spmm_operands(width, seed)
+        rows, cols, vals, dense0, g = self.spmm_operands(width, seed)
         values, dense = T.parameter(vals), T.parameter(dense0)
         with T.Tape() as tape:
-            out = T.spmm(offsets, cols, values, dense)
+            out = T.spmm(rows, cols, values, dense, 12)
             T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
         assert same_bits(out.data, add_at(rows, vals[:, None] * dense0[cols], 12))
         assert same_bits(dense.grad, add_at(cols, vals[:, None] * g[rows], 10))
@@ -601,12 +600,12 @@ class TestZeroGradientSkips:
         g[rng.random(n) < 0.8] = 0.0
         g[::7] = -0.0  # all-zero rows holding -0.0
         g[1::10, 0] = -0.0  # -0.0 inside rows that stay live
-        return np.arange(n + 1) * k, rows, cols, vals, dense, g
+        return rows, cols, vals, dense, g
 
     @pytest.mark.parametrize("width", [3, 130])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_spmm_gradients(self, monkeypatch, width, seed):
-        offsets, rows, cols, vals, dense0, g = self.spmm_case(width, seed)
+        rows, cols, vals, dense0, g = self.spmm_case(width, seed)
         live = g.any(axis=1)[rows]
         assert 0 < live.sum() < rows.size
         seen = []
@@ -616,7 +615,7 @@ class TestZeroGradientSkips:
         )
         values, dense = T.parameter(vals), T.parameter(dense0)
         with T.Tape() as tape:
-            out = T.spmm(offsets, cols, values, dense)
+            out = T.spmm(rows, cols, values, dense, 200)
             T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
         assert seen == [live.sum()]
         assert same_bits(dense.grad, add_at(cols, vals[:, None] * g[rows], 200))
@@ -625,7 +624,7 @@ class TestZeroGradientSkips:
 
     @pytest.mark.parametrize("width", [3, 130])
     def test_spmm_forward_leaves_out_zero_messages(self, monkeypatch, width):
-        offsets, rows, cols, vals, dense, _ = self.spmm_case(width, 2)
+        rows, cols, vals, dense, _ = self.spmm_case(width, 2)
         vals[::5], vals[1::5] = 0.0, -0.0
         dense[::6], dense[1::6] = 0.0, -0.0
         live = (vals != 0) & dense.any(axis=1)[cols]
@@ -633,7 +632,7 @@ class TestZeroGradientSkips:
         seen = []
         real = T._scatter_add
         monkeypatch.setattr(T, "_scatter_add", lambda idx, *a: seen.append(idx.size) or real(idx, *a))
-        out = T.spmm(offsets, cols, T.constant(vals), T.constant(dense))
+        out = T.spmm(rows, cols, T.constant(vals), T.constant(dense), 200)
         assert seen == [live.sum()]
         assert same_bits(out.data, add_at(rows, vals[:, None] * dense[cols], 200))
 
@@ -745,9 +744,6 @@ class TestDensePath:
     @given(sparse_product_cases(), LEARN)
     def test_spmm_paths_agree(self, case, learn):
         rows, cols, n_rows, n_cols, h, seed = case
-        order = np.argsort(rows, kind="stable")  # CSR order
-        rows, cols = rows[order], cols[order]
-        offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
         rng = np.random.default_rng(seed)
         vals0, dense0 = rng.uniform(-1, 1, rows.size), rng.uniform(-1, 1, (n_cols, h))
         g = T.constant(rng.uniform(-1, 1, (n_rows, h)))
@@ -757,7 +753,7 @@ class TestDensePath:
                 mp.setattr(T, "_DENSE_CELLS", cells)
                 v, d = T.Tensor(vals0, learn[0]), T.Tensor(dense0, learn[1])
                 with T.Tape() as tape:
-                    out = T.spmm(offsets, cols, v, d)
+                    out = T.spmm(rows, cols, v, d, n_rows)
                     if any(learn):
                         T.backward(T.sum_all(T.mul(out, g)), tape)
             return out.data, v.grad, d.grad
@@ -807,7 +803,7 @@ class TestDensePath:
         values, dense = T.parameter(rng.uniform(size=n * k)), T.parameter(rng.normal(size=(n, 2)))
         calls = self.kernels(monkeypatch)
         with T.Tape() as tape:
-            out = T.spmm(np.arange(n + 1) * k, cols, values, dense)
+            out = T.spmm(np.repeat(np.arange(n), k), cols, values, dense, n)
             T.backward(T.sum_all(out), tape)
         assert calls == ["_scatter_add", "_edge_dot", "_scatter_add"]
 
@@ -863,18 +859,33 @@ class TestSddmm:
         w = T.constant(np.arange(1.0, 7.0))
         assert T.gradient_check(lambda p: T.sum_all(T.mul(T.sddmm(rows, cols, p, p), w)), [u]) < 1e-8
 
+    # The two tests below hold spmm, the adjoint, to sddmm's index checks.
     def test_out_of_range_index_domain_error(self):
-        u = T.constant(np.ones((3, 2)))
-        with pytest.raises(DomainError):
-            T.sddmm([0, 3], [0, 1], u, u)
-        with pytest.raises(DomainError):
-            T.sddmm([0, 1], [-1, 1], u, u)
+        u, v = T.constant(np.ones((3, 2))), T.constant(np.ones(2))
+        for bad in (
+            lambda: T.sddmm([0, 3], [0, 1], u, u),
+            lambda: T.sddmm([0, 1], [-1, 1], u, u),
+            lambda: T.spmm([0, 3], [0, 1], v, u, 3),  # row >= n_rows
+            lambda: T.spmm([-1, 1], [0, 1], v, u, 3),
+            lambda: T.spmm([0, 1], [0, 3], v, u, 3),  # column >= dense rows
+            lambda: T.spmm([0, 1], [0, 1], v, u, 1),
+        ):
+            with pytest.raises(DomainError):
+                bad()
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError, match=r"\(3, 2\).*\(3, 4\)"):
             T.sddmm([0], [0], T.constant(np.ones((3, 2))), T.constant(np.ones((3, 4))))
-        with pytest.raises(ShapeError):
-            T.sddmm([0, 1], [0], T.constant(np.ones((3, 2))), T.constant(np.ones((3, 2))))
+        u = T.constant(np.ones((3, 2)))
+        for bad in (
+            lambda: T.sddmm([0, 1], [0], u, u),
+            lambda: T.spmm([1, 1, 2], [0, 1], T.constant(np.ones(2)), u, 3),
+            lambda: T.spmm([0, 1], [0, 1], T.constant(np.ones(3)), u, 3),
+            lambda: T.spmm([0, 1], [0, 1], T.constant(np.ones((2, 1))), u, 3),
+            lambda: T.spmm([0, 1], [0, 1], T.constant(np.ones(2)), T.constant(np.ones(3)), 3),
+        ):
+            with pytest.raises(ShapeError):
+                bad()
 
 
 def edge_counts(h):
@@ -927,13 +938,11 @@ class TestBlockedEdgeDot:
     def test_spmm_edge_value_gradient_equals_unblocked(self, exact_path, h, m):
         a, dense0, _, cols = self.operands(h, m)
         rng = np.random.default_rng(m)
-        counts = np.bincount(rng.integers(12, size=m), minlength=12)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        rows = np.repeat(np.arange(12), counts)
+        rows = np.sort(rng.integers(12, size=m))
         values, dense = T.parameter(rng.normal(size=m)), T.parameter(dense0)
         g = rng.normal(size=(12, h))
         with T.Tape() as tape:
-            out = T.spmm(offsets, cols, values, dense)
+            out = T.spmm(rows, cols, values, dense, 12)
             T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
         want = (g[rows] * dense0[cols]).sum(axis=1)
         assert np.array_equal(values.grad.view(np.int64), want.view(np.int64))
