@@ -411,7 +411,8 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     """Named finite-difference checks: one per differentiable tensor op, then
     the composite stages training runs.
 
-    Each op row is (name, op, leaf shapes, leaf domain). Its objective weights
+    Each op row is (name, op, leaf shapes, leaf domain), the domain one name
+    for every leaf or a tuple of one per leaf. Its objective weights
     output entry i by i + 1, so a backward rule that permutes, drops or
     misroutes entries cannot cancel out. The table is built on every call, so
     it binds the tensor module's ops as they are then, wrapped or not.
@@ -427,6 +428,10 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
         "any": lambda shape: rng.uniform(-1.0, 1.0, shape),
         "positive": lambda shape: rng.uniform(0.5, 2.0, shape),
         "off_zero": lambda shape: rng.uniform(0.15, 1.0, shape) * rng.choice([-1.0, 1.0], shape),
+        # Columns alternate in sign, so each product of a "positive" operand
+        # with this one is a sum of terms of one sign, each at least 0.075
+        # from 0: both signs occur, and at inner width 3 none is within 0.2 of 0.
+        "signed_columns": lambda shape: rng.uniform(0.15, 1.0, shape) * (-1.0) ** np.arange(shape[1]),
     }
     adj = _tiny_adjacency(np.random.default_rng([seed, 12]), 6)
     nsrc = np.array([0, 1, 2, 3, 1, 2, 3, 0])
@@ -471,6 +476,8 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
         ("sddmm", lambda u, v: T.sddmm(nsrc, ndst[::-1], u, v), [(4, 3), (4, 3)], "any"),
         ("spmm_sparse", lambda v, d: T.spmm([0, 0, 5], [2, 7, 0], v, d, 12), [(3,), (10, 2)], "any"),
         ("sddmm_sparse", lambda u, v: T.sddmm([3, 9], [7, 0], u, v), [(10, 2), (8, 2)], "any"),
+        # Last, so its draws leave every earlier row's leaves as they were.
+        ("matmul_relu", T.matmul_relu, [(4, 3), (3, 2)], ("positive", "signed_columns")),
     ]
     composites = [
         ("gcn_forward+task_loss", 13, _gcn_case),
@@ -496,9 +503,12 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     def drawn(tag, case):
         return lambda: T.gradient_check(*case(np.random.default_rng([seed, tag])))
 
+    def leaves(shapes, domain):
+        per_leaf = (domain,) * len(shapes) if isinstance(domain, str) else domain
+        return [T.parameter(domains[d](s)) for s, d in zip(shapes, per_leaf)]
+
     return [
-        (name, weighted(op, [T.parameter(domains[domain](s)) for s in shapes]))
-        for name, op, shapes, domain in rows
+        (name, weighted(op, leaves(shapes, domain))) for name, op, shapes, domain in rows
     ] + [(name, drawn(tag, case)) for name, tag, case in composites]
 
 

@@ -1,8 +1,9 @@
 """Two-layer GCN forward pass, task loss, accuracy, Adam, and a FLOP model.
 
-Each GCN layer aggregates over the normalized adjacency, applies a dense
-transform, then ReLU; a separate linear classifier maps the final
-representations to logits with no activation in between.
+Each GCN layer aggregates over the normalized adjacency, then applies a
+dense transform and ReLU as one tape op (``tensor.matmul_relu``); a
+separate linear classifier maps the final representations to logits with
+no activation in between.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def gcn_forward(
         raise ShapeError(f"adjacency rows {adj.n} != feature rows {x.shape[0]}")
     h = x
     for w in params.layer_weights:
-        h = T.relu(T.matmul(adj.matmul(h), w))
+        h = T.matmul_relu(adj.matmul(h), w)
     logits = T.matmul(h, params.classifier) if params.classifier is not None else None
     return h, logits
 

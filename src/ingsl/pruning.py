@@ -93,7 +93,7 @@ def diversity_scores(
         return T.sddmm(src, dst, T.matmul(e, p["scorer.bilinear"]), e)
     heads = T.gather_rows(e, src)
     tails = T.gather_rows(e, dst)
-    hidden = T.relu(T.matmul(T.concat_cols(heads, tails), p["scorer.mlp_hidden"]))
+    hidden = T.matmul_relu(T.concat_cols(heads, tails), p["scorer.mlp_hidden"])
     return T.reshape(T.matmul(hidden, p["scorer.mlp_out"]), (src.shape[0],))
 
 

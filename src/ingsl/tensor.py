@@ -142,6 +142,11 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
 
 def _out(data: np.ndarray, inputs, backward_fn, name: str) -> Tensor:
     _ensure_finite(data, name)
+    return _recorded(data, inputs, backward_fn, name)
+
+
+def _recorded(data: np.ndarray, inputs, backward_fn, name: str) -> Tensor:
+    """``_out`` for an op that has run the finite guard on its own."""
     t = Tensor.__new__(Tensor)
     t.data = data
     t.requires_grad = False
@@ -185,15 +190,34 @@ def mul(a: Tensor, b) -> Tensor:
     return _out(a.data * c, (a,), lambda g: (g * c,), "mul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _matmul_operands(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(
-            f"matmul requires 2-D operands, got {a.shape} and {b.shape}"
-        )
+        raise ShapeError(f"{op} requires 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ for {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
+        raise ShapeError(f"{op}: inner dimensions differ for {a.shape} x {b.shape}")
+    return a.data, b.data
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = _matmul_operands(a, b, "matmul")
     return _out(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g), "matmul")
+
+
+def matmul_relu(a: Tensor, w: Tensor) -> Tensor:
+    """``relu(matmul(a, w))`` as one op, with the same values and gradients
+    bit for bit. The clamp runs in place on the product, and the backward
+    reads ReLU's mask from the output (positive exactly where the product
+    is), so no pre-activation outlives the call."""
+    ad, wd = _matmul_operands(a, w, "matmul_relu")
+    out = ad @ wd
+    _ensure_finite(out, "matmul_relu")  # before the clamp maps -inf to 0
+    np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        gz = g * (out > 0.0)
+        return (gz @ wd.T, ad.T @ gz)
+
+    return _recorded(out, (a, w), bwd, "matmul_relu")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -430,7 +454,8 @@ def _index_array(idx, bound: int, op: str) -> np.ndarray:
     arr = np.asarray(idx, dtype=np.int64)
     if arr.ndim != 1:
         raise ShapeError(f"{op}: index array must be 1-D")
-    if arr.size and (np.minimum.reduce(arr) < 0 or np.maximum.reduce(arr) >= bound):
+    # A negative index reads as a huge unsigned one, so one max bounds it.
+    if arr.size and int(np.maximum.reduce(arr.view(np.uint64))) >= bound:
         raise DomainError(f"{op}: index out of range [0, {bound})")
     return arr
 

@@ -13,7 +13,8 @@ from ingsl.errors import (
     ShapeError,
     StateError,
 )
-from ingsl.graph import generate_sbm
+from ingsl.gnn import gcn_forward, make_gcn_params
+from ingsl.graph import SparseAdjacency, generate_sbm
 from ingsl.gsl import build_candidates
 
 from oracles import matmul_triple_loop, sddmm_loop
@@ -59,6 +60,54 @@ class TestMatmul:
         b = rng.uniform(-10, 10, (k, m))
         got = T.matmul(T.constant(a), T.constant(b)).data
         assert np.abs(got - matmul_triple_loop(a, b)).max() < 1e-12
+
+
+class TestMatmulRelu:
+    @staticmethod
+    def run(op, a0, w0, g):
+        a, w = T.parameter(a0), T.parameter(w0)
+        with T.Tape() as tape:
+            out = op(a, w)
+            T.backward(T.sum_all(T.mul(out, T.constant(g))), tape)
+        return out.data, a.grad, w.grad
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_relu_of_matmul_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        a0, w0 = rng.normal(size=(7, 5)), rng.normal(size=(5, 6))
+        if seed % 2:
+            # Small integers: many products are exactly 0, where relu's
+            # derivative is taken as 0.
+            a0, w0 = np.round(a0 * 1.5), np.round(w0 * 1.5)
+        a0[2] = 0.0
+        g = rng.normal(size=(7, 6))
+        fused = self.run(T.matmul_relu, a0, w0, g)
+        chain = self.run(lambda a, w: T.relu(T.matmul(a, w)), a0, w0, g)
+        assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
+        for x, y in zip(fused, chain):
+            assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+    def test_product_overflowing_to_minus_inf_raises(self):
+        # The guard runs before the clamp, which would map -inf to 0.
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="^matmul_relu produced non-finite values$"):
+                T.matmul_relu(T.constant([[1e200]]), T.constant([[-1e200]]))
+
+    def test_shape_errors_name_the_op(self):
+        with pytest.raises(ShapeError, match=r"^matmul_relu: .*\(2, 3\).*\(2, 3\)"):
+            T.matmul_relu(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
+        with pytest.raises(ShapeError, match="^matmul_relu requires 2-D"):
+            T.matmul_relu(T.constant(np.ones(3)), T.constant(np.ones((3, 2))))
+
+    def test_gcn_forward_tapes_no_pre_activation(self):
+        rng = np.random.default_rng(0)
+        adj = SparseAdjacency([0, 1, 1, 2], [1, 0, 2, 1], T.constant(np.full(4, 0.5)), 3)
+        params = make_gcn_params(rng, [4, 5, 3], classes=2)
+        with T.Tape() as tape:
+            gcn_forward(adj, T.parameter(rng.normal(size=(3, 4))), params)
+        assert [n.name for n in tape.nodes] == [
+            "spmm", "matmul_relu", "spmm", "matmul_relu", "matmul"
+        ]
 
 
 class TestElementwise:
@@ -384,6 +433,33 @@ class TestStructureOps:
     def test_binary_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(T.constant([1.0]), T.constant([1.0, 2.0]))
+
+
+_M3x2, _M4x2, _V2, _V3 = (T.constant(np.ones(s)) for s in ((3, 2), (4, 2), 2, 3))
+
+# (op, index argument, its bound, the op called with that argument's second
+# index set to i). Where an op takes two index arrays, their bounds differ.
+INDEX_ARGUMENTS = [
+    ("gather_rows", "idx", 3, lambda i: T.gather_rows(_M3x2, [0, i])),
+    ("take", "idx", 3, lambda i: T.take(_V3, [0, i])),
+    ("gather_pairs", "rows", 3, lambda i: T.gather_pairs(_M3x2, [0, i], [0, 1])),
+    ("gather_pairs", "cols", 2, lambda i: T.gather_pairs(_M3x2, [0, 1], [0, i])),
+    ("segment_sum", "seg_ids", 4, lambda i: T.segment_sum(_V2, [0, i], 4)),
+    ("spmm", "rows", 5, lambda i: T.spmm([0, i], [0, 1], _V2, _M3x2, 5)),
+    ("spmm", "cols", 3, lambda i: T.spmm([0, 1], [0, i], _V2, _M3x2, 5)),
+    ("sddmm", "rows", 3, lambda i: T.sddmm([0, i], [0, 1], _M3x2, _M4x2)),
+    ("sddmm", "cols", 4, lambda i: T.sddmm([0, 1], [0, i], _M3x2, _M4x2)),
+]
+
+
+@pytest.mark.parametrize(
+    "op,arg,bound,call", INDEX_ARGUMENTS, ids=[f"{op}-{arg}" for op, arg, *_ in INDEX_ARGUMENTS]
+)
+def test_index_out_of_range_domain_error(op, arg, bound, call):
+    for bad in (-1, bound):
+        with pytest.raises(DomainError, match=rf"^{op}: index out of range \[0, {bound}\)$"):
+            call(bad)
+    call(bound - 1)
 
 
 @st.composite
