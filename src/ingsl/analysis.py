@@ -37,7 +37,8 @@ class LemmaReport:
     """Tally of randomized bound checks.
 
     ``max_slack`` is the worst (most negative) signed margin in the safe
-    direction; any margin below -BOUND_TOL counts as a violation.
+    direction (NaN if any margin is NaN); any margin that is not at least
+    -BOUND_TOL, NaN included, counts as a violation.
     """
 
     trials: int
@@ -122,7 +123,8 @@ _RANGE_DOMAINS = {
 
 def _run_lemma(margins, trials: int, seed: int, **ranges) -> LemmaReport:
     """Check ``trials`` and each sampling range, then tally the signed
-    margins that ``margins(trials, **ranges, seed=seed)`` yields block by block.
+    margins that ``margins(trials, **ranges, seed=seed)`` yields block by block
+    into a count and a NaN-propagating minimum, as ``LemmaReport`` says.
     The report's config holds the ranges, in order, and the seed."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -133,10 +135,10 @@ def _run_lemma(margins, trials: int, seed: int, **ranges) -> LemmaReport:
     violations = 0
     worst = np.inf
     for m in margins(trials, **ranges, seed=seed):
-        violations += int(np.count_nonzero(m < -BOUND_TOL))
-        worst = min(worst, float(np.minimum.reduce(m)))
+        violations += m.size - int(np.count_nonzero(m >= -BOUND_TOL))
+        worst = np.minimum(worst, np.minimum.reduce(m))
     config = {**{name: list(r) for name, r in ranges.items()}, "seed": seed}
-    return LemmaReport(trials=trials, violations=violations, max_slack=worst, config=config)
+    return LemmaReport(trials=trials, violations=violations, max_slack=float(worst), config=config)
 
 
 # Float64 cells in the widest array of one block of lemma trials: 2^13

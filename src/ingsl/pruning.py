@@ -268,9 +268,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not (1e-5 <= self.lr <= 5e-2):
             raise ConfigError(f"lr must lie in [1e-5, 5e-2], got {self.lr}")
-        if self.lam < 0:
+        if not (self.lam >= 0):
             raise ConfigError("lambda must be non-negative")
-        if self.residual_weight < 0:
+        if not (self.residual_weight >= 0):
             raise ConfigError("residual_weight must be non-negative")
 
 

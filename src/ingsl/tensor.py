@@ -695,7 +695,8 @@ def gradient_check(f, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
 
     ``f`` must map the given leaf tensors to a scalar tensor deterministically
     and every input must have requires_grad set. The error per coordinate is
-    |analytic - numeric| / max(1, |numeric|).
+    |analytic - numeric| / max(1, |numeric|); one maximum over every leaf's
+    coordinates, NaN if any error is NaN, is the result.
     """
     if not (1e-8 < step < 1e-3):
         raise DomainError(f"step {step} outside (1e-8, 1e-3)")
@@ -710,15 +711,14 @@ def gradient_check(f, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
         if out.data.ndim != 0:
             raise RankError(f"gradient_check target must be scalar, got {out.shape}")
         backward(out, tape)
-    analytic = [
-        np.zeros(t.shape) if t.grad is None else t.grad.copy() for t in inputs
-    ]
+    analytic = np.concatenate(
+        [np.zeros(0)] + [np.zeros(t.size) if t.grad is None else t.grad.reshape(-1) for t in inputs]
+    )
     zero_grads(inputs)
 
-    max_err = 0.0
-    for t, g in zip(inputs, analytic):
+    numeric = []
+    for t in inputs:
         flat = t.data.reshape(-1)
-        gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
@@ -726,8 +726,6 @@ def gradient_check(f, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
             flat[i] = orig - step
             fm = float(f(*inputs).data)
             flat[i] = orig
-            numeric = (fp - fm) / (2.0 * step)
-            err = abs(gflat[i] - numeric) / max(1.0, abs(numeric))
-            if err > max_err:
-                max_err = err
-    return max_err
+            numeric.append((fp - fm) / (2.0 * step))
+    numeric = np.array(numeric)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)), initial=0.0))

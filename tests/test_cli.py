@@ -736,22 +736,43 @@ class TestGradcheck:
         assert (a / "gradcheck.json").read_bytes() == (b / "gradcheck.json").read_bytes()
 
     def test_corrupted_backward_reported_as_failure(self):
-        # Negative control: an op whose backward rule is deliberately wrong.
-        def corrupt_square_check():
+        # Negative controls: ops whose backward rule is deliberately wrong,
+        # one by a factor and one NaN, which no comparison ranks.
+        def corrupt_square_check(grad):
             x = T.parameter(np.array([1.0, 2.0, 3.0]))
 
             def broken_square(t):
                 out = T.Tensor(t.data**2)
-                return T.record_op(out, (t,), lambda g: (3.0 * t.data * g,), "broken")
+                return T.record_op(out, (t,), lambda g: (grad(t.data) * g,), "broken")
 
-            return T.gradient_check(lambda p: T.sum_all(broken_square(p)), [x])
+            return lambda: T.gradient_check(lambda p: T.sum_all(broken_square(p)), [x])
 
         rows, ok = run_gradcheck_battery(
-            list(default_battery(0)) + [("broken_square", corrupt_square_check)]
+            list(default_battery(0))
+            + [
+                ("broken_square", corrupt_square_check(lambda x: 3.0 * x)),
+                ("nan_square", corrupt_square_check(lambda x: np.full_like(x, np.nan))),
+            ]
         )
         assert not ok
         failed = [r for r in rows if not r["pass"]]
-        assert [r["op"] for r in failed] == ["broken_square"]
+        assert [r["op"] for r in failed] == ["broken_square", "nan_square"]
+        assert np.isnan(failed[1]["max_rel_err"])
+
+    def test_trials_keep_each_ops_worst_row(self, tmp_path, monkeypatch, capsys):
+        # "flaky" reads finite in trial 0 and NaN in trial 1, and NaN is the
+        # worse. "tied" reads 0.0 and then -0.0, equal, so trial 0's row stays.
+        errors = {"flaky": [1e-9, float("nan")], "tied": [0.0, -0.0]}
+        monkeypatch.setattr(
+            cli, "default_battery", lambda seed: [(op, lambda e=e[seed]: e) for op, e in errors.items()]
+        )
+        assert main(["gradcheck", "--seed", "0", "--trials", "2", "--out", str(tmp_path)]) == 3
+        assert re.search(r"^flaky +nan +FAIL$", capsys.readouterr().out, re.M)
+        text = (tmp_path / "gradcheck.json").read_text()
+        flaky, tied = json.loads(text)["rows"]
+        assert flaky["op"] == "flaky" and np.isnan(flaky["max_rel_err"]) and flaky["pass"] is False
+        assert tied["op"] == "tied" and tied["pass"] is True
+        assert '"max_rel_err": 0.0,' in text and "-0.0" not in text
 
 
 class TestGradcheckCoverage:

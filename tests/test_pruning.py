@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -403,6 +404,17 @@ class TestEdgeStats:
         ]
         for pairs, edges, want in cases:
             assert pruning._edge_stats(sparse_from_pairs(4, pairs), graph_with_edges(4, edges)) == want
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_train_config_rejects_nan(name):
+    # A config file cannot hold a NaN, but a library caller can pass one,
+    # and every range check must fail it.
+    with pytest.raises(ConfigError):
+        TrainConfig(**{name: float("nan")})
 
 
 class TestTraining:
