@@ -58,17 +58,32 @@ def blas_thread_functions():
     set_blas = cli._blas_thread_setter()
     if set_blas is None:
         pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+    get_blas = numpy_blas_function(
+        ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"), ctypes.c_int
+    )
+    if get_blas is None:
+        pytest.fail("numpy's OpenBLAS exports the setter but no openblas_get_num_threads")
+    return set_blas, get_blas
+
+
+def numpy_blas_function(names, restype):
+    """The first of ``names`` that numpy's extension module resolves, as
+    ``cli._blas_thread_setter`` opens it (dlsym also searches the libraries
+    it links, its OpenBLAS among them), or None."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
-    lib = ctypes.CDLL(umath.__file__)
-    for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
-        get_blas = getattr(lib, name, None)
-        if get_blas is not None:
-            get_blas.restype = ctypes.c_int
-            return set_blas, get_blas
-    pytest.fail("numpy's OpenBLAS exports the setter but no openblas_get_num_threads")
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype = restype
+            return fn
+    return None
 
 
 def base_config(**overrides):
