@@ -13,10 +13,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from test_golden import GOLDEN, provenance, record  # noqa: E402
+from test_golden import GOLDEN, provenance, record
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     record(GOLDEN)
-    (GOLDEN / "provenance.json").write_text(json.dumps(provenance(), indent=2) + "\n")
-    print(f"recorded {GOLDEN}: {provenance()}")
+    source = provenance()
+    (GOLDEN / "provenance.json").write_text(json.dumps(source, indent=2) + "\n")
+    print(f"recorded {GOLDEN} under {source}")

@@ -46,7 +46,6 @@ from .gsl import (
     encode_structure,
     feature_smoothness,
     fuse_with_original,
-    gsl_objective,
 )
 from .pruning import (
     KEEP_ALL,
@@ -60,7 +59,6 @@ from .pruning import (
     prune,
     sample_batch,
     select_threshold,
-    total_loss,
     train_ingsl,
 )
 from .tensor import Tape, Tensor, backward, gradient_check

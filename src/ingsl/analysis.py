@@ -37,8 +37,9 @@ class LemmaReport:
     """Tally of randomized bound checks.
 
     ``max_slack`` is the worst (most negative) signed margin in the safe
-    direction (NaN if any margin is NaN); any margin that is not at least
-    -BOUND_TOL, NaN included, counts as a violation.
+    direction (NaN if any margin is NaN); any margin that is not finite or
+    not at least -BOUND_TOL counts as a violation, so a bound that overflows
+    to inf checks nothing and fails.
     """
 
     trials: int
@@ -135,7 +136,7 @@ def _run_lemma(margins, trials: int, seed: int, **ranges) -> LemmaReport:
     violations = 0
     worst = np.inf
     for m in margins(trials, **ranges, seed=seed):
-        violations += m.size - int(np.count_nonzero(m >= -BOUND_TOL))
+        violations += m.size - int(np.count_nonzero(np.isfinite(m) & (m >= -BOUND_TOL)))
         worst = np.minimum(worst, np.minimum.reduce(m))
     config = {**{name: list(r) for name, r in ranges.items()}, "seed": seed}
     return LemmaReport(trials=trials, violations=violations, max_slack=float(worst), config=config)

@@ -318,13 +318,14 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_cells_csv(path: Path, cells: list[dict]) -> None:
-    lines = ["mode,r,seed,test_acc,edges_final,edge_multiple,flops"]
-    for c in cells:
-        lines.append(
-            f"{c['mode']},{c['r']!r},{c['seed']},{c['test_acc']!r},"
-            f"{c['edges_final']},{c['edge_multiple']!r},{c['flops']}"
-        )
+def _write_csv(path: Path, columns: list[str], rows) -> None:
+    """A header of ``columns``, then each row dict's values in that order:
+    strings as they are, numbers as ``repr``, so a float reads back to the
+    same bits."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(row[k] if isinstance(row[k], str) else repr(row[k]) for k in columns))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -525,10 +526,17 @@ def run_gradcheck_battery(checks, threshold: float = 1e-4) -> tuple[list[dict], 
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
+def _run_reported(cfg: ExperimentConfig, out: Path) -> dict:
+    """Run the experiment and write its ``report.json`` and ``cells.csv``."""
     report = run_experiment(cfg)
     _write_json(out / "report.json", report)
-    _write_cells_csv(out / "cells.csv", report["cells"])
+    columns = ["mode", "r", "seed", "test_acc", "edges_final", "edge_multiple", "flops"]
+    _write_csv(out / "cells.csv", columns, report["cells"])
+    return report
+
+
+def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
+    report = _run_reported(cfg, out)
     for mode, per_r in sorted(report["aggregates"].items()):
         for r, entry in sorted(per_r.items()):
             std = entry.get("std_test_acc")
@@ -543,19 +551,14 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out: Path) -> int:
     if len(cfg.reduction_levels) < 2:
         raise ConfigError("sweep requires at least two reduction levels")
-    report = run_experiment(cfg)
-    _write_json(out / "report.json", report)
-    _write_cells_csv(out / "cells.csv", report["cells"])
-    lines = ["mode,r,mean_test_acc,std_test_acc,mean_edges_final,mean_edge_multiple"]
-    for mode in cfg.modes:
-        for r in cfg.reduction_levels:
-            entry = report["aggregates"][mode][f"{r:g}"]
-            std = entry.get("std_test_acc", 0.0)
-            lines.append(
-                f"{mode},{r!r},{entry['mean_test_acc']!r},{std!r},"
-                f"{entry['mean_edges_final']!r},{entry['mean_edge_multiple']!r}"
-            )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    aggregates = _run_reported(cfg, out)["aggregates"]
+    rows = [
+        {"mode": mode, "r": r, "std_test_acc": 0.0, **aggregates[mode][f"{r:g}"]}
+        for mode in cfg.modes
+        for r in cfg.reduction_levels
+    ]
+    columns = ["mode", "r", "mean_test_acc", "std_test_acc", "mean_edges_final", "mean_edge_multiple"]
+    _write_csv(out / "sweep.csv", columns, rows)
     print(f"wrote {len(cfg.modes) * len(cfg.reduction_levels)} sweep rows to {out / 'sweep.csv'}")
     return 0
 
@@ -615,9 +618,8 @@ def cmd_diagnose_redundancy(cfg: ExperimentConfig, k_values: list[int], out: Pat
             f"got {max(k_values)}"
         )
     profile = redundancy_profile(result.embeddings, k_values)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["k,mean_pairwise_cosine"] + [f"{k},{v!r}" for k, v in profile]
-    (out / "redundancy.csv").write_text("\n".join(lines) + "\n")
+    rows = [{"k": k, "mean_pairwise_cosine": v} for k, v in profile]
+    _write_csv(out / "redundancy.csv", ["k", "mean_pairwise_cosine"], rows)
     for k, v in profile:
         print(f"k={k}: mean pairwise cosine {v:.4f}")
     return 0
@@ -657,32 +659,25 @@ def _k_values(raw: str) -> list[int]:
 def build_parser() -> _Parser:
     parser = _Parser(prog="ingsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    names = ("train", "sweep", "verify-lemmas", "gradcheck", "diagnose-redundancy", "gen-sbm")
+    cmd = {name: sub.add_parser(name) for name in names}
+    # Options are added in the order --help lists them.
+    for name in ("train", "sweep", "diagnose-redundancy", "gen-sbm"):
+        cmd[name].add_argument("--config", required=True)
+        cmd[name].add_argument("--out", required=True)
+    cmd["diagnose-redundancy"].add_argument("--k-values", type=_k_values, default="2,5,10,20")
+    for name in ("train", "sweep", "diagnose-redundancy"):
+        cmd[name].add_argument("--seed", type=int, default=None)
 
-    for name in ("train", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("verify-lemmas")
+    p = cmd["verify-lemmas"]
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("gradcheck")
+    p = cmd["gradcheck"]
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--out", default=None)
-
-    p = sub.add_parser("diagnose-redundancy")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k-values", type=_k_values, default="2,5,10,20")
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("gen-sbm")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
     return parser
 
 

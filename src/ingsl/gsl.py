@@ -1,6 +1,6 @@
 """Embedding-based structure learning baseline: auxiliary encoder, top-K
-candidate construction, the supervised objective, and residual fusion of the
-learned candidates with the original graph.
+candidate construction, the feature-smoothness regularizer, and residual
+fusion of the learned candidates with the original graph.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ def build_candidates(e: T.Tensor, k: int, metric: str = "inner") -> CandidateGra
     dst = cols.reshape(-1)
     values = T.sddmm(src, dst, base, base, product=sim)
     return CandidateGraph(sparse=SparseAdjacency(src, dst, values, n))
-
-
-def gsl_objective(task: T.Tensor, reg: T.Tensor, lam: float) -> T.Tensor:
-    """Supervised loss plus a weighted structural regularizer."""
-    if lam < 0:
-        raise DomainError("regularizer weight must be non-negative")
-    return T.add(task, T.mul(reg, lam))
 
 
 def feature_smoothness(

@@ -41,7 +41,6 @@ from .gsl import (
     encode_structure,
     feature_smoothness,
     fuse_with_original,
-    gsl_objective,
 )
 
 SCORER_KINDS = ("bilinear", "mlp")
@@ -213,13 +212,6 @@ def mi_loss(z_tilde: T.Tensor, z: T.Tensor, batch) -> T.Tensor:
     return T.mul(T.sum_all(T.sub(T.log(denom), pos)), 1.0 / n)
 
 
-def total_loss(l_gsl: T.Tensor, l_mi: T.Tensor, beta: float) -> T.Tensor:
-    """Base objective plus beta times the mutual-information term."""
-    if not (0.0 <= beta <= 1.0):
-        raise ConfigError(f"beta must lie in [0, 1], got {beta}")
-    return T.add(l_gsl, T.mul(l_mi, beta))
-
-
 # ---------------------------------------------------------------------------
 # joint training loop
 # ---------------------------------------------------------------------------
@@ -389,8 +381,11 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
 
     def train_epoch(epoch: int) -> bool:
         """One taped forward, backward and Adam step; True once patience runs
-        out. Its locals, the consumed tape included, die on return, so
-        nothing of this epoch is alive while the next forward runs."""
+        out. The objective, composed here and nowhere else, is task +
+        lambda * feature smoothness (the host learner's loss) + beta *
+        contrastive; a zero weight leaves its term off the tape. Its locals,
+        the consumed tape included, die on return, so nothing of this epoch
+        is alive while the next forward runs."""
         nonlocal at
         with T.Tape() as tape:
             fwd = forward(epoch)
@@ -402,7 +397,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
             if cfg.lam > 0:
                 rows, cols = s_t.directed_pairs()
                 reg = feature_smoothness(s_t.values, rows, cols, g.features)
-                loss = gsl_objective(loss, reg, cfg.lam)
+                loss = T.add(loss, T.mul(reg, cfg.lam))
             if scorer is not None and cfg.beta > 0:
                 adj_full = fuse_with_original(g, candidates, cfg.residual_weight)
                 # Representations only: the contrastive term never reads logits.
@@ -414,7 +409,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                     rng_mi = np.random.default_rng([cfg.seed, 3, epoch])
                     ids = sample_batch(good.size, min(batch_size, good.size), rng_mi)
                     mi = mi_loss(T.gather_rows(z_t, good), T.gather_rows(z_full, good), ids)
-                    loss = total_loss(loss, mi, cfg.beta)
+                    loss = T.add(loss, T.mul(mi, cfg.beta))
             if not np.isfinite(loss.data):
                 raise NumericError("loss is not finite")
             T.backward(loss, tape)

@@ -721,11 +721,13 @@ def gradient_check(f, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
         flat = t.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
-            fp = float(f(*inputs).data)
-            flat[i] = orig - step
-            fm = float(f(*inputs).data)
-            flat[i] = orig
+            try:
+                flat[i] = orig + step
+                fp = float(f(*inputs).data)
+                flat[i] = orig - step
+                fm = float(f(*inputs).data)
+            finally:
+                flat[i] = orig
             numeric.append((fp - fm) / (2.0 * step))
     numeric = np.array(numeric)
     return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric)), initial=0.0))

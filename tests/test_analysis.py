@@ -298,22 +298,23 @@ class TestLemmaBlocks:
 
 
 class TestNanMargins:
-    """A NaN margin fails the check: no comparison or minimum may drop it."""
+    """A NaN or infinite margin fails the check: no comparison or minimum
+    may drop it."""
 
     def test_nan_margin_is_a_violation_and_the_worst_slack(self):
         def margins(trials, seed):
             yield np.array([0.1, np.nan])
-            yield np.array([-1.0])
+            yield np.array([-1.0, np.inf])
 
-        rep = analysis._run_lemma(margins, 3, 0)
-        assert rep.violations == 2 and np.isnan(rep.max_slack)
+        rep = analysis._run_lemma(margins, 4, 0)
+        assert rep.violations == 3 and np.isnan(rep.max_slack)
 
     def test_overflowing_trials_are_violations(self):
-        # At B = 1e308 every ceiling overflows to inf; in 5 of 50 trials the
-        # loss change is not finite either, and those margins are NaN.
+        # At B = 1e308 every ceiling overflows to inf, so each of the 50
+        # margins is +inf, or NaN where the loss change is not finite either.
         with np.errstate(all="ignore"):
             rep = lemma2_check(50, b_range=(1e308, 1e308), seed=0)
-        assert rep.violations == 5 and np.isnan(rep.max_slack)
+        assert rep.violations == 50 and np.isnan(rep.max_slack)
 
 
 INFEASIBLE_RANGES = [

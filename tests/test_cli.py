@@ -67,9 +67,10 @@ def blas_thread_functions():
 
 
 def numpy_blas_function(names, restype):
-    """The first of ``names`` that numpy's extension module resolves, as
-    ``cli._blas_thread_setter`` opens it (dlsym also searches the libraries
-    it links, its OpenBLAS among them), or None."""
+    """The first of ``names``, a function of no arguments, that numpy's
+    extension module resolves, as ``cli._blas_thread_setter`` opens it
+    (dlsym also searches the libraries it links, its OpenBLAS among them),
+    or None."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
@@ -81,6 +82,7 @@ def numpy_blas_function(names, restype):
     for name in names:
         fn = getattr(lib, name, None)
         if fn is not None:
+            fn.argtypes = []
             fn.restype = restype
             return fn
     return None
@@ -135,6 +137,8 @@ MALFORMED = [
     ({"hidden": 0}, "hidden must be >= 1"),
     ({"patience": 0}, "patience must be >= 1"),
     ({"residual_weight": -1}, "residual_weight must be non-negative"),
+    ({"beta": 1.5}, "beta must lie in [0, 1]"),
+    ({"lambda": -0.1}, "lambda must be non-negative"),
     ({"metric": "euclid"}, "metric must be one of"),
     ({"scorer_kind": "deep"}, "scorer_kind must be one of"),
     ({"modes": []}, "modes must be non-empty"),

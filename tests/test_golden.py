@@ -57,13 +57,11 @@ def record(out: Path) -> None:
     report.write_text(json.dumps(stripped, sort_keys=True, indent=2) + "\n")
 
 
-def test_reports_match_golden_bytes(tmp_path, monkeypatch, capsys):
+def test_reports_match_golden_bytes(tmp_path):
     recorded = json.loads((GOLDEN / "provenance.json").read_text())
     current = provenance()
     if current != recorded:
         pytest.skip(f"golden outputs were recorded under {recorded}; this host has {current}")
-    monkeypatch.delenv("INGSL_THREADS", raising=False)
     record(tmp_path)
-    capsys.readouterr()
     for name in FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

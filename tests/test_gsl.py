@@ -16,7 +16,6 @@ from ingsl.gsl import (
     encode_structure,
     feature_smoothness,
     fuse_with_original,
-    gsl_objective,
 )
 from ingsl.graph import SparseAdjacency, generate_sbm, normalize_adjacency
 from test_gnn import identity_adjacency
@@ -252,22 +251,6 @@ class TestBuildCandidates:
 
 
 class TestObjective:
-    def test_lambda_zero(self):
-        out = gsl_objective(T.constant(0.7), T.constant(0.9), 0.0)
-        assert float(out.data) == 0.7
-
-    def test_reg_zero(self):
-        out = gsl_objective(T.constant(0.7), T.constant(0.0), 2.0)
-        assert float(out.data) == 0.7
-
-    def test_arithmetic(self):
-        out = gsl_objective(T.constant(0.7), T.constant(0.2), 0.5)
-        assert abs(float(out.data) - 0.8) < 1e-15
-
-    def test_negative_lambda(self):
-        with pytest.raises(DomainError):
-            gsl_objective(T.constant(1.0), T.constant(1.0), -0.1)
-
     def test_feature_smoothness(self):
         x = np.array([[0.0], [1.0], [3.0]])
         vals = T.constant(np.array([2.0, 1.0]))

@@ -34,7 +34,6 @@ from ingsl.pruning import (
     prune,
     sample_batch,
     select_threshold,
-    total_loss,
     train_ingsl,
 )
 
@@ -284,24 +283,6 @@ class TestMiLoss:
         assert T.gradient_check(lambda *_: mi_loss(zt, z, ids), [zt, z]) < 1e-4
 
 
-class TestTotalLoss:
-    def test_beta_zero_is_base_objective(self):
-        out = total_loss(T.constant(1.3), T.constant(9.9), 0.0)
-        assert float(out.data) == 1.3
-
-    def test_zero_mi(self):
-        out = total_loss(T.constant(1.3), T.constant(0.0), 0.7)
-        assert float(out.data) == 1.3
-
-    def test_arithmetic(self):
-        out = total_loss(T.constant(1.0), T.constant(0.5), 0.4)
-        assert abs(float(out.data) - 1.2) < 1e-15
-
-    def test_beta_bounds(self):
-        with pytest.raises(ConfigError):
-            total_loss(T.constant(1.0), T.constant(1.0), 1.5)
-
-
 class TestThresholdPruneComposition:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.floats(0.05, 0.9))
@@ -341,7 +322,7 @@ class TestThresholdPruneComposition:
             base = task_loss(logits, g.labels, g.train_mask)
             adj_f = fuse_with_original(g, cand.sparse, 1.0)
             z_f, _ = gcn_forward(adj_f, x, params_t)
-            return total_loss(base, mi_loss(z_t, z_f, ids), 0.5)
+            return T.add(base, T.mul(mi_loss(z_t, z_f, ids), 0.5))
 
         leaves = [scorer.params["scorer.bilinear"], params_s.layer_weights[0], params_t.layer_weights[0]]
         assert T.gradient_check(f, leaves) < 1e-4

@@ -291,6 +291,14 @@ class TestGradientCheck:
         with pytest.raises(RankError):
             T.gradient_check(lambda p: T.relu(p), [x])
 
+    def test_objective_error_restores_the_perturbed_leaf(self):
+        # The step below 5e-6 leaves log's domain; the error must not leave
+        # the coordinate there.
+        x = T.parameter([1.0, 5e-6])
+        with pytest.raises(DomainError):
+            T.gradient_check(lambda p: T.sum_all(T.log(p)), [x])
+        assert np.array_equal(x.data, [1.0, 5e-6])
+
     def test_leaf_from_fortran_ordered_array_is_perturbed(self):
         # A leaf built from a transpose must still see every finite-difference
         # step; the values keep their logical layout.
