@@ -17,6 +17,7 @@ so no result depends on the BLAS thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -142,6 +143,121 @@ def _run_lemma(margins, trials: int, seed: int, **ranges) -> LemmaReport:
     return LemmaReport(trials=trials, violations=violations, max_slack=float(worst), config=config)
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# seeding step (pcg64.h), through which default_rng(key) starts its
+# generator. Constants and their running products stay Python ints, since a
+# numpy scalar that overflows warns; the uint32 arrays wrap silently.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# Trial keys hashed at once: 256 keep the arrays of a chunk under 20 KB.
+_RESEED_CHUNK = 256
+
+
+def _entropy_words(prefix) -> list[int] | None:
+    """The uint32 words SeedSequence splits the non-negative ints of
+    ``prefix`` into, least significant first; None for any other entry."""
+    words = []
+    for v in prefix:
+        if not isinstance(v, (int, np.integer)) or v < 0:
+            return None
+        v = int(v)
+        words.append(v & _MASK32)
+        while v > _MASK32:
+            v >>= 32
+            words.append(v & _MASK32)
+    return words
+
+
+def _pcg64_states(words: list[int], t: np.ndarray) -> Iterator[dict]:
+    """For each t of the uint32 array ``t``, the ``bit_generator.state`` in
+    which ``default_rng(key)`` starts, where key's entropy words are
+    ``words`` followed by t."""
+    entropy = [np.full(t.size, w, dtype=np.uint32) for w in words] + [t]
+
+    def hashmix(value, consts):
+        c = consts[0]
+        consts[0] = c * consts[1] & _MASK32
+        value = value ^ c
+        value *= consts[0]
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        out = _MIX_L * x - _MIX_R * y
+        out ^= out >> 16
+        return out
+
+    a = [_INIT_A, _MULT_A]
+    zero = np.zeros(t.size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero, a) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], a))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word, a))
+    # generate_state(4, np.uint64): 8 words, little-endian pairs.
+    b = [_INIT_B, _MULT_B]
+    state = [hashmix(pool[i % _POOL_WORDS], b).astype(np.uint64) for i in range(8)]
+    seeds = np.array([lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])]).T.tolist()
+    for s_hi, s_lo, i_hi, i_lo in seeds:
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+# Keys of one to five entropy words (a 5-word key runs SeedSequence's
+# remaining-entropy loop) on which the fast reseed must match default_rng.
+_RESEED_CHECK_KEYS = ((0, 0), (7, 1, 255), (2**32 + 5, 1, 3), (2**64 - 1, 2**31), (2**70, 1, 9))
+
+
+@functools.cache
+def _reseed_works() -> bool:
+    """Whether ``_pcg64_states``, assigned to a reused PCG64 generator, starts
+    it in ``default_rng``'s state on every key of ``_RESEED_CHECK_KEYS``."""
+    rng = np.random.Generator(np.random.PCG64())
+    for *prefix, t in _RESEED_CHECK_KEYS:
+        want = np.random.default_rng([*prefix, t])
+        try:
+            rng.bit_generator.state = next(_pcg64_states(_entropy_words(prefix), np.array([t], np.uint32)))
+        except (KeyError, TypeError, ValueError):
+            return False
+        if rng.bit_generator.state != want.bit_generator.state or rng.random(2).tolist() != want.random(2).tolist():
+            return False
+    return True
+
+
+def _trial_generators(prefix, trials: int) -> Iterator[np.random.Generator]:
+    """For t in range(trials), a generator in the state that
+    ``np.random.default_rng([*prefix, t])`` starts in, so every draw is the
+    same double.
+
+    One generator is reseeded for each t, which costs a small fraction of
+    building one, so each must be drawn from before the next is taken.
+    Keys are hashed in chunks of _RESEED_CHUNK. Where ``_reseed_works`` does
+    not hold (another numpy), or for a key the hash does not cover, each
+    trial gets its own ``default_rng``.
+    """
+    words = _entropy_words(prefix)
+    if words is None or trials > 1 << 32 or not _reseed_works():
+        for t in range(trials):
+            yield np.random.default_rng([*prefix, t])
+        return
+    rng = np.random.Generator(np.random.PCG64())
+    bitgen = rng.bit_generator
+    for start in range(0, trials, _RESEED_CHUNK):
+        t = np.arange(start, min(start + _RESEED_CHUNK, trials), dtype=np.uint32)
+        for state in _pcg64_states(words, t):
+            bitgen.state = state
+            yield rng
+
+
 # Float64 cells in the widest array of one block of lemma trials: 2^13
 # cells, 64 KB. A block holds about eight such arrays at its peak. Blocks of
 # 2^14 cells ran no faster on verify rounds but raised their peak RSS by
@@ -150,13 +266,14 @@ def _run_lemma(margins, trials: int, seed: int, **ranges) -> LemmaReport:
 _BLOCK_CELLS = 1 << 13
 
 
-def _blocks(trials: int, draw, cells) -> Iterator[list]:
-    """The draws ``draw(t)`` for t in range(trials), in order, grouped so the
-    ``cells`` of each block's trials sum to at most _BLOCK_CELLS."""
+def _blocks(generators, draw, cells) -> Iterator[list]:
+    """The draws ``draw(rng)`` for each generator of ``generators``, in
+    order, grouped so the ``cells`` of each block's trials sum to at most
+    _BLOCK_CELLS."""
     block: list = []
     used = 0
-    for t in range(trials):
-        trial = draw(t)
+    for rng in generators:
+        trial = draw(rng)
         size = cells(trial)
         if block and used + size > _BLOCK_CELLS:
             yield block
@@ -188,15 +305,14 @@ def _stack_padded(arrays, shape: tuple[int, ...]) -> np.ndarray:
 def _lemma1_margins(trials, dim_range, n_range, eps_range, seed) -> Iterator[np.ndarray]:
     """Signed margins observed - floor of each trial, one array per block."""
 
-    def draw(t):
-        rng = np.random.default_rng([seed, t])
+    def draw(rng):
         dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         eps = rng.uniform(eps_range[0], eps_range[1])
         anchor = _unit_sphere(rng, dim)
         return (n, eps, anchor, *_cone_draws(rng, eps, n, dim))
 
-    for block in _blocks(trials, draw, lambda trial: trial[0] * dim_range[1]):
+    for block in _blocks(_trial_generators((seed,), trials), draw, lambda trial: trial[0] * dim_range[1]):
         n, eps, anchors, c, w = zip(*block)
         n = np.array(n)
         width = max(a.shape[0] for a in anchors)
@@ -234,8 +350,7 @@ def _cross_entropy(z: np.ndarray, w: np.ndarray, classes: np.ndarray, labels: np
 def _lemma2_margins(trials, dim_range, class_range, eps_range, b_range, seed) -> Iterator[np.ndarray]:
     """Signed margins ceiling - |loss change| of each trial, one array per block."""
 
-    def draw(t):
-        rng = np.random.default_rng([seed, 1, t])
+    def draw(rng):
         dim = int(rng.integers(dim_range[0], dim_range[1] + 1))
         classes = int(rng.integers(class_range[0], class_range[1] + 1))
         n = int(rng.integers(1, _LEMMA2_MAX_NEIGHBORS + 1))
@@ -249,7 +364,7 @@ def _lemma2_margins(trials, dim_range, class_range, eps_range, b_range, seed) ->
         return n, eps, b_norm, rho, anchor, c, w, weights, w_c, int(rng.integers(classes))
 
     width = dim_range[1] * max(class_range[1], _LEMMA2_MAX_NEIGHBORS)
-    for block in _blocks(trials, draw, lambda trial: width):
+    for block in _blocks(_trial_generators((seed, 1), trials), draw, lambda trial: width):
         n, eps, b_norm, rho, anchors, c, w, weights, w_c, labels = zip(*block)
         n, eps, b_norm, rho = np.array(n), np.array(eps), np.array(b_norm), np.array(rho)
         dim = max(a.shape[0] for a in anchors)

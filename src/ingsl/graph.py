@@ -126,8 +126,10 @@ class SparseAdjacency:
     n: int
 
     def __post_init__(self):
-        rows = self.row_indices = np.asarray(self.row_indices, dtype=np.int64)
-        cols = self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
+        rows = self.row_indices = T.int64_indices(self.row_indices)
+        cols = self.col_indices = T.int64_indices(self.col_indices)
+        if rows is None or cols is None:
+            raise ConfigError("row_indices and col_indices must hold integers")
         n = self.n
         if rows.ndim != 1 or rows.shape != cols.shape or self.values.shape != cols.shape:
             raise ConfigError("row_indices, col_indices and values must be 1-D and aligned")

@@ -136,7 +136,7 @@ def record_op(
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
     # isfinite raises no floating-point flag, unlike a test on the sum.
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -157,7 +157,7 @@ def _recorded(data: np.ndarray, inputs, backward_fn, name: str) -> Tensor:
 def _as_operands(a, b, op: str):
     """Split a binary op's second operand into tensor or scalar constant."""
     if isinstance(b, Tensor):
-        if a.shape != b.shape:
+        if a.data.shape != b.data.shape:
             raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
         return b, None
     return None, float(b)
@@ -450,8 +450,25 @@ def _edge_dot(a: np.ndarray, b: np.ndarray, ra: np.ndarray, ca: np.ndarray) -> n
     return out
 
 
+def int64_indices(idx) -> np.ndarray | None:
+    """``idx`` as an int64 array, or None if it holds anything but integers
+    (a boolean mask, floats); an empty input of any dtype is an empty index
+    array."""
+    arr = np.asarray(idx)
+    if arr.dtype.kind not in "iu" and arr.size:
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+_INT64 = np.dtype(np.int64)
+
+
 def _index_array(idx, bound: int, op: str) -> np.ndarray:
-    arr = np.asarray(idx, dtype=np.int64)
+    # An int64 ndarray passes as it is; its dtype is numpy's one int64
+    # descriptor, and any other takes the converting path.
+    arr = idx if type(idx) is np.ndarray and idx.dtype is _INT64 else int64_indices(idx)
+    if arr is None:
+        raise ShapeError(f"{op}: index array must hold integers")
     if arr.ndim != 1:
         raise ShapeError(f"{op}: index array must be 1-D")
     # A negative index reads as a huge unsigned one, so one max bounds it.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ingsl import analysis
+from ingsl import analysis, cli
 from ingsl.analysis import (
     BOUND_TOL,
     avg_pairwise_similarity,
@@ -283,18 +283,60 @@ class TestLemmaBlocks:
             mp.setattr(analysis, "_BLOCK_CELLS", cells)
             assert_matches_trial_loop(lemma, trials, seed, **ranges)
 
-    def test_peak_memory_stays_at_block_size(self):
-        # Evaluating all 10000 trials at once would hold arrays of about
-        # 10000 x 26 x 32 cells (66 MB each); blocks keep the peak below
-        # 16 arrays of the block budget whatever the trial count.
-        lemma1_check(10, seed=0)
+    @pytest.mark.parametrize("lemma", [1, 2])
+    def test_peak_memory_stays_at_block_size(self, lemma):
+        # Evaluating all 10000 Lemma-1 trials at once would hold arrays of
+        # about 10000 x 26 x 32 cells (66 MB each); blocks, and trial keys
+        # hashed in chunks, keep the peak below 16 arrays of the block budget
+        # whatever the trial count.
+        check = (lemma1_check, lemma2_check)[lemma - 1]
+        check(10, seed=0)
         tracemalloc.start()
         try:
-            lemma1_check(10000, seed=0)
+            check(10000, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 8 * analysis._BLOCK_CELLS
+
+
+class TestTrialGenerators:
+    """The one generator that ``_trial_generators`` reseeds per trial draws
+    what ``np.random.default_rng([*prefix, t])`` draws."""
+
+    @staticmethod
+    def draws(rng) -> bytes:
+        return b"".join(
+            (rng.standard_normal(3).tobytes(), rng.integers(2, 33, 2).tobytes(),
+             rng.uniform(0.1, 5.0, 2).tobytes(), rng.integers(7).tobytes())
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.booleans(), st.integers(1, 600))
+    def test_draws_match_default_rng(self, seed, lemma2, trials):
+        # Up to 600 trials cross the boundaries of 256-key chunks.
+        prefix = (seed, 1) if lemma2 else (seed,)
+        count = 0
+        for t, rng in enumerate(analysis._trial_generators(prefix, trials)):
+            assert self.draws(rng) == self.draws(np.random.default_rng([*prefix, t])), t
+            count += 1
+        assert count == trials
+
+    def test_failed_self_check_falls_back_to_default_rng(self, tmp_path, monkeypatch):
+        argv = ["verify-lemmas", "--trials", "300", "--seed", "3"]
+        assert cli.main([*argv, "--out", str(tmp_path / "fast")]) == 0
+        monkeypatch.setattr(analysis, "_MULT_A", analysis._MULT_A ^ 2)
+        analysis._reseed_works.cache_clear()
+        try:
+            assert not analysis._reseed_works()
+            for t, rng in enumerate(analysis._trial_generators((3, 1), 5)):
+                assert self.draws(rng) == self.draws(np.random.default_rng([3, 1, t]))
+            assert cli.main([*argv, "--out", str(tmp_path / "fallback")]) == 0
+        finally:
+            monkeypatch.undo()
+            analysis._reseed_works.cache_clear()
+        fast, fallback = ((tmp_path / d / "lemmas.json").read_bytes() for d in ("fast", "fallback"))
+        assert fast == fallback
 
 
 class TestNanMargins:

@@ -203,6 +203,11 @@ class TestSparseAdjacency:
         ("index_lengths_differ", [1, 1, 2], [0, 1], 2, "aligned"),
         ("values_misaligned", [0, 1], [0, 1], 3, "aligned"),
         ("2d_indices", [[0, 1]], [[0, 1]], 2, "aligned"),
+        # numpy would truncate 1.5 to row 1 and read the mask as columns 1, 0.
+        ("float_rows", [0.0, 1.5], [0, 1], 2, "must hold integers"),
+        ("integral_float_cols", [0, 1], [0.0, 2.0], 2, "must hold integers"),
+        ("bool_cols", [0, 1], np.array([True, False]), 2, "must hold integers"),
+        ("int32_indices", np.array([0, 2], dtype=np.int32), np.array([1, 0], dtype=np.uint16), 2, None),
     ]
 
     @pytest.mark.parametrize(

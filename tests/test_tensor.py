@@ -470,6 +470,40 @@ def test_index_out_of_range_domain_error(op, arg, bound, call):
     call(bound - 1)
 
 
+@pytest.mark.parametrize(
+    "op,arg,bound,call", INDEX_ARGUMENTS, ids=[f"{op}-{arg}" for op, arg, *_ in INDEX_ARGUMENTS]
+)
+def test_float_index_shape_error(op, arg, bound, call):
+    # An integral float is refused too: a float index is never truncated.
+    for bad in (1.0, 0.7):
+        with pytest.raises(ShapeError, match=rf"^{op}: index array must hold integers$"):
+            call(bad)
+
+
+def test_bool_mask_is_not_an_index_array():
+    # numpy would read the mask as the indices 1, 0, 1, 0.
+    x = T.constant(np.arange(8.0).reshape(4, 2))
+    mask = np.array([True, False, True, False])
+    with pytest.raises(ShapeError, match=r"^gather_rows: index array must hold integers$"):
+        T.gather_rows(x, mask)
+    with pytest.raises(ShapeError, match=r"^take: index array must hold integers$"):
+        T.take(T.constant(np.arange(4.0)), mask)
+    with pytest.raises(ShapeError, match=r"^take: index array must hold integers$"):
+        T.take(T.constant(np.arange(4.0)), [2.7])
+
+
+def test_empty_and_other_integer_index_arrays_are_accepted():
+    x = T.constant(np.arange(8.0).reshape(4, 2))
+    assert T.gather_rows(x, []).data.shape == (0, 2)
+    assert T.take(T.constant(np.arange(4.0)), np.array([], dtype=bool)).data.shape == (0,)
+    for idx in ([3, 1], np.array([3, 1], dtype=np.int32), np.array([3, 1], dtype=np.uint8),
+                np.array([3, 1], dtype=">i8")):
+        assert T.gather_rows(x, idx).data.tolist() == [[6.0, 7.0], [2.0, 3.0]]
+    idx = np.array([3, 1])
+    ia = T._index_array(idx, 4, "gather_rows")
+    assert ia is idx  # an int64 array passes unconverted
+
+
 @st.composite
 def scatter_cases(draw):
     """(idx, vals, n): repeated or all-unique targets in any order, possibly
