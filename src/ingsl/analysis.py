@@ -173,38 +173,46 @@ def _entropy_words(prefix) -> list[int] | None:
     return words
 
 
+def _hash_steps(c: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The (xor, multiplier) pair of each successive hashmix: the running
+    hash constant before and after its update by ``mult``."""
+    while True:
+        nxt = c * mult & _MASK32
+        yield c, nxt
+        c = nxt
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    out ^= out >> 16
+    return out
+
+
 def _pcg64_states(words: list[int], t: np.ndarray) -> Iterator[dict]:
     """For each t of the uint32 array ``t``, the ``bit_generator.state`` in
     which ``default_rng(key)`` starts, where key's entropy words are
     ``words`` followed by t."""
     entropy = [np.full(t.size, w, dtype=np.uint32) for w in words] + [t]
-
-    def hashmix(value, consts):
-        c = consts[0]
-        consts[0] = c * consts[1] & _MASK32
-        value = value ^ c
-        value *= consts[0]
-        value ^= value >> 16
-        return value
-
-    def mix(x, y):
-        out = _MIX_L * x - _MIX_R * y
-        out ^= out >> 16
-        return out
-
-    a = [_INIT_A, _MULT_A]
-    zero = np.zeros(t.size, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero, a) for i in range(_POOL_WORDS)]
+    entropy += [np.zeros(t.size, dtype=np.uint32)] * (_POOL_WORDS - len(entropy))
+    a = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[i], a) for i in range(_POOL_WORDS)]
     for src in range(_POOL_WORDS):
         for dst in range(_POOL_WORDS):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], a))
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a))
     for word in entropy[_POOL_WORDS:]:
         for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word, a))
+            pool[dst] = _mix(pool[dst], _hashmix(word, a))
     # generate_state(4, np.uint64): 8 words, little-endian pairs.
-    b = [_INIT_B, _MULT_B]
-    state = [hashmix(pool[i % _POOL_WORDS], b).astype(np.uint64) for i in range(8)]
+    b = _hash_steps(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % _POOL_WORDS], b).astype(np.uint64) for i in range(8)]
     seeds = np.array([lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])]).T.tolist()
     for s_hi, s_lo, i_hi, i_lo in seeds:
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
