@@ -212,12 +212,15 @@ def _pcg64_states(words: list[int], t: np.ndarray) -> Iterator[dict]:
             pool[dst] = _mix(pool[dst], _hashmix(word, a))
     # generate_state(4, np.uint64): 8 words, little-endian pairs.
     b = _hash_steps(_INIT_B, _MULT_B)
-    state = [_hashmix(pool[i % _POOL_WORDS], b).astype(np.uint64) for i in range(8)]
-    seeds = np.array([lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])]).T.tolist()
+    out = [_hashmix(pool[i % _POOL_WORDS], b).astype(np.uint64) for i in range(8)]
+    seeds = np.array([lo | hi << 32 for lo, hi in zip(out[0::2], out[1::2])]).T.tolist()
+    # pcg64_set_seed: the first pair is the initial state, the second the
+    # stream; inc = 2*stream + 1, then two LCG steps around adding the state.
     for s_hi, s_lo, i_hi, i_lo in seeds:
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        state = {"state": pcg, "inc": inc}
+        yield {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
 
 
 # Keys of one to five entropy words (a 5-word key runs SeedSequence's
@@ -232,11 +235,14 @@ def _reseed_works() -> bool:
     rng = np.random.Generator(np.random.PCG64())
     for *prefix, t in _RESEED_CHECK_KEYS:
         want = np.random.default_rng([*prefix, t])
+        state = next(_pcg64_states(_entropy_words(prefix), np.array([t], np.uint32)))
         try:
-            rng.bit_generator.state = next(_pcg64_states(_entropy_words(prefix), np.array([t], np.uint32)))
-        except (KeyError, TypeError, ValueError):
+            rng.bit_generator.state = state
+        except (KeyError, TypeError, ValueError):  # a state format this code does not know
             return False
-        if rng.bit_generator.state != want.bit_generator.state or rng.random(2).tolist() != want.random(2).tolist():
+        if rng.bit_generator.state != want.bit_generator.state:
+            return False
+        if rng.random(2).tolist() != want.random(2).tolist():
             return False
     return True
 
@@ -320,7 +326,8 @@ def _lemma1_margins(trials, dim_range, n_range, eps_range, seed) -> Iterator[np.
         anchor = _unit_sphere(rng, dim)
         return (n, eps, anchor, *_cone_draws(rng, eps, n, dim))
 
-    for block in _blocks(_trial_generators((seed,), trials), draw, lambda trial: trial[0] * dim_range[1]):
+    generators = _trial_generators((seed,), trials)
+    for block in _blocks(generators, draw, lambda trial: trial[0] * dim_range[1]):
         n, eps, anchors, c, w = zip(*block)
         n = np.array(n)
         width = max(a.shape[0] for a in anchors)
