@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Re-record the golden CLI outputs under tests/golden/ and the numpy, BLAS
+"""Re-record the golden outputs under tests/golden/ and the numpy, BLAS
 and OpenBLAS core they came from. Run it only for a change that means to
 alter a report, and log why; ``git diff tests/golden`` then shows each
 changed number.

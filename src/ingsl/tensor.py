@@ -468,8 +468,9 @@ _INT64 = np.dtype(np.int64)
 
 
 def _index_array(idx, bound: int, op: str) -> np.ndarray:
-    # An int64 ndarray passes as it is; its dtype is numpy's one int64
-    # descriptor, and any other takes the converting path.
+    # An int64 ndarray passes as it is, with no conversion call. The dtype
+    # test is by identity with numpy's builtin descriptor, the cheap one; an
+    # equal descriptor that is another object just takes the converting path.
     arr = idx if type(idx) is np.ndarray and idx.dtype is _INT64 else int64_indices(idx)
     if arr is None:
         raise ShapeError(f"{op}: index array must hold integers")
