@@ -85,13 +85,12 @@ def task_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> T.Tenso
     idx = np.flatnonzero(np.asarray(mask))
     if idx.size == 0:
         raise ConfigError("task_loss mask selects no nodes")
-    labels = np.asarray(labels, dtype=np.int64)
     sel = T.gather_rows(logits, idx)
     # Row max is detached; it cancels out of the loss value and gradient.
     mx = sel.data.max(axis=1)
     shifted = T.sub(sel, T.constant(np.repeat(mx[:, None], sel.shape[1], axis=1)))
     lse = T.log(T.row_sum(T.exp(shifted)))
-    true = T.gather_pairs(shifted, np.arange(idx.size), labels[idx])
+    true = T.gather_pairs(shifted, np.arange(idx.size), np.asarray(labels)[idx])
     return T.mul(T.sum_all(T.sub(lse, true)), 1.0 / idx.size)
 
 
@@ -103,8 +102,8 @@ def accuracy(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> float:
     idx = np.flatnonzero(np.asarray(mask))
     if idx.size == 0:
         raise ConfigError("accuracy mask selects no nodes")
-    pred = logits.data[idx].argmax(axis=1)
-    return float((pred == np.asarray(labels)[idx]).mean())
+    true = T.index_array(np.asarray(labels)[idx], logits.shape[1], "accuracy labels")
+    return float((logits.data[idx].argmax(axis=1) == true).mean())
 
 
 @dataclass

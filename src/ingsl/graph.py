@@ -46,19 +46,21 @@ def both_directions(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def canonical_edges(pairs, n: int) -> np.ndarray:
     """Dedupe and sort undirected pairs into an [m, 2] array with i < j."""
-    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    bad = np.flatnonzero((e[:, 0] == e[:, 1]) | (e < 0).any(axis=1) | (e >= n).any(axis=1))
-    if bad.size:
-        a, b = e[bad[0]].tolist()
-        if a == b:
-            raise DomainError(f"self-loop ({a}, {a}) is not allowed")
-        raise DomainError(f"edge ({a}, {b}) has endpoint outside [0, {n})")
+    e = T.index_array(np.reshape(pairs, -1), n, "canonical_edges").reshape(-1, 2)
+    loops = np.flatnonzero(e[:, 0] == e[:, 1])
+    if loops.size:
+        a = int(e[loops[0], 0])
+        raise DomainError(f"self-loop ({a}, {a}) is not allowed")
     return keys_to_edges(np.unique(edge_keys(e[:, 0], e[:, 1], n)), n)
 
 
 @dataclass
 class Graph:
-    """Node features, undirected edges, labels, and train/val/test masks."""
+    """Node features, undirected edges, labels, and train/val/test masks.
+
+    Labels and edge endpoints are id arrays checked by ``T.index_array``:
+    labels lie in [0, classes), with ``classes`` inferred from them when it
+    is not positive, and endpoints in [0, n)."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -70,12 +72,15 @@ class Graph:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        # Where classes is inferred from the labels, any label >= 0 passes.
+        bound = self.classes if self.classes > 0 else 1 << 63
+        labels = self.labels = T.index_array(self.labels, bound, "Graph labels")
+        if self.classes <= 0:
+            self.classes = int(labels.max()) + 1 if labels.size else 0
+        edges = T.index_array(np.reshape(self.edges, -1), self.n, "Graph edges")
+        self.edges = edges.reshape(-1, 2)
         for name in ("train_mask", "val_mask", "test_mask"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
-        if self.classes <= 0:
-            self.classes = int(self.labels.max()) + 1 if self.labels.size else 0
         self._validate()
 
     def _validate(self):
@@ -84,11 +89,7 @@ class Graph:
             raise ConfigError("features must be [n, d]")
         if not np.isfinite(self.features).all():
             raise ConfigError("features contain NaN or infinite values")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.classes):
-            raise ConfigError(f"labels outside [0, {self.classes})")
-        if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
-            raise ConfigError(f"edge endpoint outside [0, {n})")
-        if self.edges.size and (self.edges[:, 0] >= self.edges[:, 1]).any():
+        if (self.edges[:, 0] >= self.edges[:, 1]).any():
             raise ConfigError("edges must satisfy i < j")
         masks = [self.train_mask, self.val_mask, self.test_mask]
         for m in masks:
@@ -118,7 +119,8 @@ class Graph:
 class SparseAdjacency:
     """Weighted n x n adjacency with differentiable values: entry e puts
     ``values[e]`` at (``row_indices[e]``, ``col_indices[e]``). Entries are in
-    row-major order with no repeated cell."""
+    row-major order with no repeated cell. Each index array is an id array
+    in [0, n), checked by ``T.index_array``."""
 
     row_indices: np.ndarray  # [nnz]
     col_indices: np.ndarray  # [nnz]
@@ -126,19 +128,12 @@ class SparseAdjacency:
     n: int
 
     def __post_init__(self):
-        rows = self.row_indices = T.int64_indices(self.row_indices)
-        cols = self.col_indices = T.int64_indices(self.col_indices)
-        if rows is None or cols is None:
-            raise ConfigError("row_indices and col_indices must hold integers")
         n = self.n
-        if rows.ndim != 1 or rows.shape != cols.shape or self.values.shape != cols.shape:
+        rows = self.row_indices = T.index_array(self.row_indices, n, "SparseAdjacency rows")
+        cols = self.col_indices = T.index_array(self.col_indices, n, "SparseAdjacency cols")
+        if rows.shape != cols.shape or self.values.shape != cols.shape:
             raise ConfigError("row_indices, col_indices and values must be 1-D and aligned")
-        if not cols.size:
-            return
-        # A negative index reads as a huge unsigned one, so one max bounds
-        # each array; in range, the cell keys row * n + col cannot overflow.
-        if int(max(np.maximum.reduce(a.view(np.uint64)) for a in (rows, cols))) >= n:
-            raise ConfigError(f"entry index outside [0, {n})")
+        # In range, the cell keys row * n + col cannot overflow.
         keys = rows * n
         keys += cols
         if (keys[1:] <= keys[:-1]).any():
@@ -180,14 +175,12 @@ def normalize_entries(
     self-loop added here. Gradient flows from the output values back into
     ``weights`` through both the numerator and the degree terms.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    src = T.index_array(src, n, "normalize_entries src")
+    dst = T.index_array(dst, n, "normalize_entries dst")
     if weights.data.ndim != 1 or not weights.shape[0] == src.shape[0] == dst.shape[0]:
         raise ConfigError("weights must be 1-D and aligned with src/dst")
     if (weights.data < 0).any():
         raise DomainError("negative edge weight passed to normalization")
-    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-        raise DomainError(f"entry endpoint outside [0, {n})")
 
     deg = T.add(T.segment_sum(weights, src, n), 1.0)
     inv_sqrt = T.pow_const(deg, -0.5)

@@ -105,7 +105,10 @@ def feature_smoothness(
     values: T.Tensor, src: np.ndarray, dst: np.ndarray, features: np.ndarray
 ) -> T.Tensor:
     """Built-in regularizer: mean of edge weight times squared feature gap."""
-    diff = features[np.asarray(src)] - features[np.asarray(dst)]
+    n = features.shape[0]
+    src = T.index_array(src, n, "feature_smoothness src")
+    dst = T.index_array(dst, n, "feature_smoothness dst")
+    diff = features[src] - features[dst]
     cost = T.constant((diff**2).sum(axis=1))
     return T.mul(T.sum_all(T.mul(values, cost)), 1.0 / max(1, values.shape[0]))
 

@@ -82,10 +82,6 @@ def diversity_scores(
     Bilinear: E_i W E_j^T. MLP: second layer over ReLU of the concatenated
     endpoint embeddings. Gradient reaches the scorer parameters and E.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if src.shape != dst.shape:
-        raise ShapeError("src and dst index lengths differ")
     p = scorer.params
     if scorer.kind == "bilinear":
         # (E W)[i] . E[j]: transform the n embeddings once, then score edges.
@@ -93,7 +89,7 @@ def diversity_scores(
     heads = T.gather_rows(e, src)
     tails = T.gather_rows(e, dst)
     hidden = T.matmul_relu(T.concat_cols(heads, tails), p["scorer.mlp_hidden"])
-    return T.reshape(T.matmul(hidden, p["scorer.mlp_out"]), (src.shape[0],))
+    return T.reshape(T.matmul(hidden, p["scorer.mlp_out"]), (hidden.shape[0],))
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +187,11 @@ def mi_loss(z_tilde: T.Tensor, z: T.Tensor, batch) -> T.Tensor:
     n = z_tilde.shape[0]
     if z.shape != z_tilde.shape:
         raise ShapeError(f"representation shapes differ: {z_tilde.shape} vs {z.shape}")
-    ids = np.asarray(batch, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ConfigError("batch must be a non-empty 1-D id set")
-    if ids.size > n:
-        raise ConfigError(f"batch size {ids.size} exceeds node count {n}")
+    ids = T.index_array(batch, n, "mi_loss batch")
+    if ids.size == 0:
+        raise ConfigError("batch must be a non-empty id set")
     if np.unique(ids).size != ids.size:
         raise ConfigError("batch ids must be distinct")
-    if ids.min() < 0 or ids.max() >= n:
-        raise ConfigError(f"batch id outside [0, {n})")
 
     zt = T.row_l2_normalize(z_tilde)
     zn = T.row_l2_normalize(z)

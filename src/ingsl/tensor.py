@@ -229,10 +229,12 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size and -1 not in shape:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
+    try:
+        view = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
     old = a.shape
-    return _out(a.data.reshape(shape).copy(), (a,), lambda g: (g.reshape(old),), "reshape")
+    return _out(view.copy(), (a,), lambda g: (g.reshape(old),), "reshape")
 
 
 # ---------------------------------------------------------------------------
@@ -454,26 +456,26 @@ def _edge_dot(a: np.ndarray, b: np.ndarray, ra: np.ndarray, ca: np.ndarray) -> n
     return out
 
 
-def int64_indices(idx) -> np.ndarray | None:
-    """``idx`` as an int64 array, or None if it holds anything but integers
-    (a boolean mask, floats); an empty input of any dtype is an empty index
-    array."""
-    arr = np.asarray(idx)
-    if arr.dtype.kind not in "iu" and arr.size:
-        return None
-    return arr.astype(np.int64, copy=False)
-
-
 _INT64 = np.dtype(np.int64)
 
 
-def _index_array(idx, bound: int, op: str) -> np.ndarray:
+def index_array(idx, bound: int, op: str) -> np.ndarray:
+    """``idx`` as a 1-D int64 array of ids in [0, bound), the one check of
+    every node-id array. A boolean mask or a float array, even an integral
+    one, raises ``ShapeError``, where numpy would read the mask as ids 0 and
+    1 and truncate the floats; so does an array that is not 1-D. An id
+    outside the range raises ``DomainError``. Each message starts with
+    ``op``. An empty input of any dtype is an empty id array."""
     # An int64 ndarray passes as it is, with no conversion call. The dtype
     # test is by identity with numpy's builtin descriptor, the cheap one; an
     # equal descriptor that is another object just takes the converting path.
-    arr = idx if type(idx) is np.ndarray and idx.dtype is _INT64 else int64_indices(idx)
-    if arr is None:
-        raise ShapeError(f"{op}: index array must hold integers")
+    if type(idx) is np.ndarray and idx.dtype is _INT64:
+        arr = idx
+    else:
+        arr = np.asarray(idx)
+        if arr.dtype.kind not in "iu" and arr.size:
+            raise ShapeError(f"{op}: index array must hold integers")
+        arr = arr.astype(np.int64, copy=False)
     if arr.ndim != 1:
         raise ShapeError(f"{op}: index array must be 1-D")
     # A negative index reads as a huge unsigned one, so one max bounds it.
@@ -485,7 +487,7 @@ def _index_array(idx, bound: int, op: str) -> np.ndarray:
 def gather_rows(x: Tensor, idx) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows requires a 2-D operand, got {x.shape}")
-    ia = _index_array(idx, x.shape[0], "gather_rows")
+    ia = index_array(idx, x.shape[0], "gather_rows")
     n = x.shape[0]
     return _out(
         x.data[ia], (x,), lambda g: (_scatter_add(ia, g, n),), "gather_rows"
@@ -496,7 +498,7 @@ def take(x: Tensor, idx) -> Tensor:
     """Gather entries of a 1-D tensor; backward scatter-adds."""
     if x.data.ndim != 1:
         raise ShapeError(f"take requires a 1-D operand, got {x.shape}")
-    ia = _index_array(idx, x.shape[0], "take")
+    ia = index_array(idx, x.shape[0], "take")
     n = x.shape[0]
     return _out(x.data[ia], (x,), lambda g: (_scatter_add(ia, g, n),), "take")
 
@@ -505,8 +507,8 @@ def gather_pairs(x: Tensor, rows, cols) -> Tensor:
     """Gather x[rows[k], cols[k]] for each k from a 2-D tensor."""
     if x.data.ndim != 2:
         raise ShapeError(f"gather_pairs requires a 2-D operand, got {x.shape}")
-    ra = _index_array(rows, x.shape[0], "gather_pairs")
-    ca = _index_array(cols, x.shape[1], "gather_pairs")
+    ra = index_array(rows, x.shape[0], "gather_pairs")
+    ca = index_array(cols, x.shape[1], "gather_pairs")
     if ra.shape != ca.shape:
         raise ShapeError("gather_pairs: row and column index lengths differ")
     shape = x.shape
@@ -544,7 +546,7 @@ def segment_sum(x: Tensor, seg_ids, num_segments: int) -> Tensor:
     """Sum entries of a 1-D tensor into ``num_segments`` buckets."""
     if x.data.ndim != 1:
         raise ShapeError(f"segment_sum requires a 1-D operand, got {x.shape}")
-    sa = _index_array(seg_ids, num_segments, "segment_sum")
+    sa = index_array(seg_ids, num_segments, "segment_sum")
     if sa.shape[0] != x.shape[0]:
         raise ShapeError("segment_sum: segment ids must align with values")
     out = _scatter_add(sa, x.data, num_segments)
@@ -615,8 +617,8 @@ def spmm(rows, cols, values: Tensor, dense: Tensor, n_rows: int) -> Tensor:
     """
     if dense.data.ndim != 2:
         raise ShapeError(f"spmm: dense operand must be 2-D, got {dense.shape}")
-    ra = _index_array(rows, n_rows, "spmm")
-    ca = _index_array(cols, dense.shape[0], "spmm")
+    ra = index_array(rows, n_rows, "spmm")
+    ca = index_array(cols, dense.shape[0], "spmm")
     if ra.shape != ca.shape:
         raise ShapeError("spmm: row and column index lengths differ")
     if values.data.ndim != 1 or values.shape != ca.shape:
@@ -642,8 +644,8 @@ def sddmm(rows, cols, u: Tensor, v: Tensor, product: np.ndarray | None = None) -
     """
     if u.data.ndim != 2 or v.data.ndim != 2 or u.shape[1] != v.shape[1]:
         raise ShapeError(f"sddmm: incompatible operands {u.shape} and {v.shape}")
-    ra = _index_array(rows, u.shape[0], "sddmm")
-    ca = _index_array(cols, v.shape[0], "sddmm")
+    ra = index_array(rows, u.shape[0], "sddmm")
+    ca = index_array(cols, v.shape[0], "sddmm")
     if ra.shape != ca.shape:
         raise ShapeError("sddmm: row and column index lengths differ")
     ud, vd = u.data, v.data

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from ingsl import graph as graph_module
 from ingsl import tensor as T
-from ingsl.errors import CapacityError, ConfigError, MetricError, ParseError
+from ingsl.errors import (
+    CapacityError,
+    ConfigError,
+    DomainError,
+    MetricError,
+    ParseError,
+    ShapeError,
+)
 from ingsl.graph import (
     Graph,
     SparseAdjacency,
@@ -177,6 +184,16 @@ class TestGraphInvariants:
                 test_mask=[False, False],
             )
 
+    def test_inferred_classes_take_integer_labels_only(self):
+        masks = np.eye(3, dtype=bool)
+        assert Graph(np.ones((3, 2)), [0, 4, 1], [], *masks).classes == 5
+        # numpy would read 1.9 as class 1 and the mask as classes 1, 0, 1.
+        for labels in ([0, 1.9, 1], np.array([True, False, True])):
+            with pytest.raises(ShapeError, match=r"^Graph labels: index array must hold integers$"):
+                Graph(np.ones((3, 2)), labels, [[0, 1]], *masks)
+        with pytest.raises(DomainError, match=r"^Graph labels: index out of range"):
+            Graph(np.ones((3, 2)), [0, -1, 1], [[0, 1]], *masks)
+
     def test_nan_features_rejected(self):
         with pytest.raises(ConfigError, match="NaN"):
             tiny_graph(features=np.array([[np.nan, 0], [0, 0], [0, 0]]))
@@ -188,39 +205,41 @@ class TestGraphInvariants:
 
 
 class TestSparseAdjacency:
-    # (id, rows, cols, value count, error) on 3 nodes; error None accepts.
+    # (id, rows, cols, value count, error class, match) on 3 nodes; an error
+    # class of None accepts. Index arrays are checked by T.index_array.
     CASES = [
-        ("empty", [], [], 0, None),
-        ("row_major", [0, 0, 2], [0, 2, 1], 3, None),
-        ("rows_out_of_order", [1, 0], [0, 1], 2, "row-major"),
-        ("cols_out_of_order", [0, 0], [2, 1], 2, "row-major"),
-        ("repeated_cell", [0, 1, 1], [2, 0, 0], 3, "repeated"),
-        ("row_at_n", [0, 3], [0, 1], 2, "outside"),
-        ("negative_row", [-1, 0], [0, 1], 2, "outside"),
-        ("middle_row_at_n", [0, 5, 1], [0, 1, 2], 3, "outside"),
-        ("col_at_n", [0, 1], [0, 3], 2, "outside"),
-        ("negative_col", [0, 1], [-1, 0], 2, "outside"),
-        ("index_lengths_differ", [1, 1, 2], [0, 1], 2, "aligned"),
-        ("values_misaligned", [0, 1], [0, 1], 3, "aligned"),
-        ("2d_indices", [[0, 1]], [[0, 1]], 2, "aligned"),
+        ("empty", [], [], 0, None, None),
+        ("row_major", [0, 0, 2], [0, 2, 1], 3, None, None),
+        ("rows_out_of_order", [1, 0], [0, 1], 2, ConfigError, "row-major"),
+        ("cols_out_of_order", [0, 0], [2, 1], 2, ConfigError, "row-major"),
+        ("repeated_cell", [0, 1, 1], [2, 0, 0], 3, ConfigError, "repeated"),
+        ("row_at_n", [0, 3], [0, 1], 2, DomainError, "out of range"),
+        ("negative_row", [-1, 0], [0, 1], 2, DomainError, "out of range"),
+        ("middle_row_at_n", [0, 5, 1], [0, 1, 2], 3, DomainError, "out of range"),
+        ("col_at_n", [0, 1], [0, 3], 2, DomainError, "out of range"),
+        ("negative_col", [0, 1], [-1, 0], 2, DomainError, "out of range"),
+        ("index_lengths_differ", [1, 1, 2], [0, 1], 2, ConfigError, "aligned"),
+        ("values_misaligned", [0, 1], [0, 1], 3, ConfigError, "aligned"),
+        ("2d_indices", [[0, 1]], [[0, 1]], 2, ShapeError, "1-D"),
         # numpy would truncate 1.5 to row 1 and read the mask as columns 1, 0.
-        ("float_rows", [0.0, 1.5], [0, 1], 2, "must hold integers"),
-        ("integral_float_cols", [0, 1], [0.0, 2.0], 2, "must hold integers"),
-        ("bool_cols", [0, 1], np.array([True, False]), 2, "must hold integers"),
-        ("int32_indices", np.array([0, 2], dtype=np.int32), np.array([1, 0], dtype=np.uint16), 2, None),
+        ("float_rows", [0.0, 1.5], [0, 1], 2, ShapeError, "must hold integers"),
+        ("integral_float_cols", [0, 1], [0.0, 2.0], 2, ShapeError, "must hold integers"),
+        ("bool_cols", [0, 1], np.array([True, False]), 2, ShapeError, "must hold integers"),
+        ("int32_indices", np.array([0, 2], dtype=np.int32), np.array([1, 0], dtype=np.uint16), 2,
+         None, None),
     ]
 
     @pytest.mark.parametrize(
-        "rows,cols,m,error", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+        "rows,cols,m,error,match", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
     )
-    def test_invariant(self, rows, cols, m, error):
+    def test_invariant(self, rows, cols, m, error, match):
         def build():
             return SparseAdjacency(rows, cols, T.constant(np.ones(m)), 3)
 
         if error is None:
             assert build().nnz == m
         else:
-            with pytest.raises(ConfigError, match=error):
+            with pytest.raises(error, match=match):
                 build()
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingsl import tensor as T
-from ingsl.errors import ConfigError, NumericError, ShapeError
+from ingsl.errors import ConfigError, DomainError, NumericError, ShapeError
 from ingsl import pruning
 from ingsl.gnn import (
     GcnParams,
@@ -261,8 +261,8 @@ class TestMiLoss:
 
     def test_batch_validation(self):
         z = T.constant(np.ones((3, 2)))
-        with pytest.raises(ConfigError):
-            mi_loss(z, z, np.arange(4))  # |B| > n
+        with pytest.raises(DomainError):
+            mi_loss(z, z, np.arange(4))  # |B| > n, so id 3 is out of range
         with pytest.raises(ConfigError):
             mi_loss(z, z, np.array([0, 0]))
 

@@ -13,9 +13,10 @@ from ingsl.errors import (
     ShapeError,
     StateError,
 )
-from ingsl.gnn import gcn_forward, make_gcn_params
-from ingsl.graph import SparseAdjacency, generate_sbm
-from ingsl.gsl import build_candidates
+from ingsl.gnn import accuracy, gcn_forward, make_gcn_params, task_loss
+from ingsl.graph import Graph, SparseAdjacency, canonical_edges, generate_sbm, normalize_entries
+from ingsl.gsl import build_candidates, feature_smoothness
+from ingsl.pruning import diversity_scores, make_scorer, mi_loss
 
 from oracles import matmul_triple_loop, sddmm_loop
 
@@ -318,7 +319,7 @@ class TestGradientCheck:
         assert err < 1e-6
 
     def test_fortran_ordered_leaves_in_a_composite_check(self):
-        from ingsl.gnn import gcn_forward, make_gcn_params, task_loss
+        from ingsl.gnn import accuracy, gcn_forward, make_gcn_params, task_loss
         from ingsl.graph import normalize_adjacency
 
         g = generate_sbm([4, 4], 0.6, 0.1, 3, 0.5, 2)
@@ -438,6 +439,13 @@ class TestStructureOps:
         assert T.concat_vec(T.constant([1.0]), T.constant([2.0, 3.0])).data.tolist() == [1.0, 2.0, 3.0]
         assert T.reshape(b, (4,)).data.tolist() == [3.0, 4.0, 5.0, 6.0]
 
+    def test_reshape_shape_error(self):
+        # numpy's own ValueError never escapes, -1 in the shape or not.
+        for size, shape in ((15, (-1, 7)), (15, (-1, -1)), (15, (4, -1)), (4, (5,))):
+            with pytest.raises(ShapeError, match=r"^reshape: cannot view "):
+                T.reshape(T.constant(np.ones(size)), shape)
+        assert T.reshape(T.constant(np.ones(15)), (-1, 5)).shape == (3, 5)
+
     def test_binary_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(T.constant([1.0]), T.constant([1.0, 2.0]))
@@ -480,6 +488,64 @@ def test_float_index_shape_error(op, arg, bound, call):
             call(bad)
 
 
+_M4x3, _V4 = T.constant(np.ones((4, 3))), T.constant(np.ones(4))
+_SCORERS = {kind: make_scorer(kind, 2, np.random.default_rng(0)) for kind in ("bilinear", "mlp")}
+_MASKS = [np.arange(4) == 0, np.arange(4) == 1, np.arange(4) >= 2]
+
+
+def _sparse(rows, cols):
+    return SparseAdjacency(rows, cols, _V4, 4)
+
+
+def _graph(labels, edges):
+    return Graph(np.ones((4, 1)), labels, edges, *_MASKS, classes=4)
+
+
+def _scores(kind, src, dst):
+    return diversity_scores(_M4x2, src, dst, _SCORERS[kind])
+
+
+# (entry point, the prefix of its messages, its bound, the entry point called
+# with one 4-entry id array). Every entry point checks its ids through
+# T.index_array; diversity_scores and task_loss leave it to the tape op they call.
+ID_ENTRY_POINTS = [
+    ("SparseAdjacency-rows", "SparseAdjacency rows", 4, lambda ids: _sparse(ids, [0, 1, 2, 3])),
+    ("SparseAdjacency-cols", "SparseAdjacency cols", 4, lambda ids: _sparse([0, 1, 2, 3], ids)),
+    ("normalize_entries-src", "normalize_entries src", 4,
+     lambda ids: normalize_entries(4, ids, [1, 0, 3, 2], _V4)),
+    ("normalize_entries-dst", "normalize_entries dst", 4,
+     lambda ids: normalize_entries(4, [1, 0, 3, 2], ids, _V4)),
+    ("canonical_edges", "canonical_edges", 4, lambda ids: canonical_edges(np.reshape(ids, (2, 2)), 4)),
+    ("Graph-labels", "Graph labels", 4, lambda ids: _graph(ids, [])),
+    ("Graph-edges", "Graph edges", 4, lambda ids: _graph([0, 0, 1, 1], np.reshape(ids, (2, 2)))),
+    ("feature_smoothness-src", "feature_smoothness src", 4,
+     lambda ids: feature_smoothness(_V4, ids, [1, 0, 3, 2], np.ones((4, 2)))),
+    ("feature_smoothness-dst", "feature_smoothness dst", 4,
+     lambda ids: feature_smoothness(_V4, [1, 0, 3, 2], ids, np.ones((4, 2)))),
+    ("mi_loss-batch", "mi_loss batch", 4, lambda ids: mi_loss(_M4x2, _M4x2, ids)),
+    ("diversity_scores-bilinear-src", "sddmm", 4, lambda ids: _scores("bilinear", ids, [1, 0, 3, 2])),
+    ("diversity_scores-bilinear-dst", "sddmm", 4, lambda ids: _scores("bilinear", [1, 0, 3, 2], ids)),
+    ("diversity_scores-mlp-src", "gather_rows", 4, lambda ids: _scores("mlp", ids, [1, 0, 3, 2])),
+    ("diversity_scores-mlp-dst", "gather_rows", 4, lambda ids: _scores("mlp", [1, 0, 3, 2], ids)),
+    ("task_loss-labels", "gather_pairs", 3, lambda ids: task_loss(_M4x3, ids, np.ones(4, dtype=bool))),
+    ("accuracy-labels", "accuracy labels", 3, lambda ids: accuracy(_M4x3, ids, np.ones(4, dtype=bool))),
+]
+
+
+@pytest.mark.parametrize(
+    "prefix,bound,call", [c[1:] for c in ID_ENTRY_POINTS], ids=[c[0] for c in ID_ENTRY_POINTS]
+)
+def test_entry_point_id_arrays(prefix, bound, call):
+    # The last id is the probe: out of range, a float, or the whole array a mask.
+    for bad in (-1, bound):
+        with pytest.raises(DomainError, match=rf"^{prefix}: index out of range \[0, {bound}\)$"):
+            call([0, 1, 2, bad])
+    for bad in ([0, 1, 2, 1.0], [0, 1, 2, 0.7], np.array([True, False, True, False])):
+        with pytest.raises(ShapeError, match=rf"^{prefix}: index array must hold integers$"):
+            call(bad)
+    call([0, 1, 2, bound - 1])
+
+
 def test_bool_mask_is_not_an_index_array():
     # numpy would read the mask as the indices 1, 0, 1, 0.
     x = T.constant(np.arange(8.0).reshape(4, 2))
@@ -500,7 +566,7 @@ def test_empty_and_other_integer_index_arrays_are_accepted():
                 np.array([3, 1], dtype=">i8")):
         assert T.gather_rows(x, idx).data.tolist() == [[6.0, 7.0], [2.0, 3.0]]
     idx = np.array([3, 1])
-    ia = T._index_array(idx, 4, "gather_rows")
+    ia = T.index_array(idx, 4, "gather_rows")
     assert ia is idx  # an int64 array passes unconverted
 
 
