@@ -319,7 +319,7 @@ class TestGradientCheck:
         assert err < 1e-6
 
     def test_fortran_ordered_leaves_in_a_composite_check(self):
-        from ingsl.gnn import accuracy, gcn_forward, make_gcn_params, task_loss
+        from ingsl.gnn import gcn_forward, make_gcn_params, task_loss
         from ingsl.graph import normalize_adjacency
 
         g = generate_sbm([4, 4], 0.6, 0.1, 3, 0.5, 2)
