@@ -48,7 +48,6 @@ from .gsl import (
     fuse_with_original,
 )
 from .pruning import (
-    KEEP_ALL,
     DiversityScorer,
     TrainConfig,
     TrainResult,

@@ -82,7 +82,7 @@ def gcn_forward(
 
 def task_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> T.Tensor:
     """Mean cross-entropy of the masked nodes via the log-sum-exp trick."""
-    idx = np.flatnonzero(np.asarray(mask))
+    idx = T.mask_ids(mask, logits.shape[0], "task_loss")
     if idx.size == 0:
         raise ConfigError("task_loss mask selects no nodes")
     sel = T.gather_rows(logits, idx)
@@ -99,7 +99,7 @@ def accuracy(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> float:
 
     Ties break toward the smallest class index.
     """
-    idx = np.flatnonzero(np.asarray(mask))
+    idx = T.mask_ids(mask, logits.shape[0], "accuracy")
     if idx.size == 0:
         raise ConfigError("accuracy mask selects no nodes")
     true = T.index_array(np.asarray(labels)[idx], logits.shape[1], "accuracy labels")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,8 @@ class Graph:
     """Node features, undirected edges, labels, and train/val/test masks.
 
     Labels and edge endpoints are id arrays checked by ``T.index_array``:
-    labels lie in [0, classes), with ``classes`` inferred from them when it
-    is not positive, and endpoints in [0, n)."""
+    labels lie in [0, classes) and endpoints in [0, n). Each mask is a node
+    mask checked by ``T.mask_ids``."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -68,19 +68,20 @@ class Graph:
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
-    classes: int = field(default=0)
+    classes: int
 
     def __post_init__(self):
+        if self.classes < 1:
+            raise ConfigError(f"classes must be >= 1, got {self.classes}")
         self.features = np.asarray(self.features, dtype=np.float64)
-        # Where classes is inferred from the labels, any label >= 0 passes.
-        bound = self.classes if self.classes > 0 else 1 << 63
-        labels = self.labels = T.index_array(self.labels, bound, "Graph labels")
-        if self.classes <= 0:
-            self.classes = int(labels.max()) + 1 if labels.size else 0
+        self.labels = T.index_array(self.labels, self.classes, "Graph labels")
         edges = T.index_array(np.reshape(self.edges, -1), self.n, "Graph edges")
         self.edges = edges.reshape(-1, 2)
         for name in ("train_mask", "val_mask", "test_mask"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=bool))
+            mask = np.asarray(getattr(self, name))
+            if T.mask_ids(mask, self.n, f"Graph {name}").size == 0:
+                raise ConfigError("every mask must select at least one node")
+            setattr(self, name, mask)
         self._validate()
 
     def _validate(self):
@@ -91,12 +92,6 @@ class Graph:
             raise ConfigError("features contain NaN or infinite values")
         if (self.edges[:, 0] >= self.edges[:, 1]).any():
             raise ConfigError("edges must satisfy i < j")
-        masks = [self.train_mask, self.val_mask, self.test_mask]
-        for m in masks:
-            if m.shape != (n,):
-                raise ConfigError("masks must be boolean vectors of length n")
-            if not m.any():
-                raise ConfigError("every mask must select at least one node")
         if (self.train_mask & self.val_mask).any() or (
             self.train_mask & self.test_mask
         ).any() or (self.val_mask & self.test_mask).any():

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, ShapeError
 from .gnn import GcnParams, gcn_forward
 from .graph import Graph, SparseAdjacency, both_directions, normalize_entries
 
@@ -113,19 +113,15 @@ def feature_smoothness(
     return T.mul(T.sum_all(T.mul(values, cost)), 1.0 / max(1, values.shape[0]))
 
 
-def fuse_with_original(
-    a: Graph, sparse: SparseAdjacency, residual_weight: float = 1.0
-) -> SparseAdjacency:
+def fuse_with_original(a: Graph, sparse: SparseAdjacency) -> SparseAdjacency:
     """Normalize the edge-value union of the original graph and the learned
-    candidates scaled by ``residual_weight``. Original edges carry unit weight
-    in both directions; candidate entries stay directed as given. With no
-    candidate entries this is ``normalize_adjacency(a)``, bit for bit.
+    candidates, which enter at their own values. Original edges carry unit
+    weight in both directions; candidate entries stay directed as given. With
+    no candidate entries this is ``normalize_adjacency(a)``, bit for bit.
     """
-    if residual_weight < 0:
-        raise DomainError("residual_weight must be non-negative")
     src, dst = both_directions(a.edges)
     all_src = np.concatenate([src, sparse.row_indices])
     all_dst = np.concatenate([dst, sparse.col_indices])
     base_w = T.constant(np.ones(src.shape[0]))
-    all_w = T.concat_vec(base_w, T.mul(sparse.values, float(residual_weight)))
+    all_w = T.concat_vec(base_w, sparse.values)
     return normalize_entries(a.n, all_src, all_dst, all_w)

@@ -44,7 +44,7 @@ from .gsl import (
 )
 
 SCORER_KINDS = ("bilinear", "mlp")
-KEEP_ALL = float("-inf")  # sentinel threshold: every candidate survives
+MI_BATCH = 256  # the contrastive batch is min(nodes, MI_BATCH) node ids
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,8 @@ def prune(s: CandidateGraph, w: T.Tensor, eps_thr: float) -> SparseAdjacency:
     """Apply the thresholded sigmoid to per-edge products S_ij * w_ij.
 
     Edges with product >= eps_thr survive with weight sigmoid(product),
-    differentiable through both factors; the rest leave the structure. Use
-    KEEP_ALL to retain every edge.
+    differentiable through both factors; the rest leave the structure. A
+    threshold of ``-inf`` keeps every edge.
     """
     vals = s.sparse.values
     if w.shape != vals.shape:
@@ -227,8 +227,6 @@ class TrainConfig:
     lr: float = 1e-2
     epochs: int = 300
     patience: int = 50
-    batch_size: int | None = None  # None -> min(n, 256)
-    residual_weight: float = 1.0
     hidden: int = 128
     metric: str = "inner"
 
@@ -237,8 +235,6 @@ class TrainConfig:
             raise ConfigError(f"reduction must lie in [0, 1), got {self.reduction}")
         if not (0.0 <= self.beta <= 1.0):
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODE_TABLE:
@@ -254,8 +250,6 @@ class TrainConfig:
             raise ConfigError(f"lr must lie in [1e-5, 5e-2], got {self.lr}")
         if not (self.lam >= 0):
             raise ConfigError("lambda must be non-negative")
-        if not (self.residual_weight >= 0):
-            raise ConfigError("residual_weight must be non-negative")
 
 
 @dataclass
@@ -337,13 +331,12 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
 
     a_hat = normalize_adjacency(g)
     x = T.constant(g.features)
-    batch_size = cfg.batch_size or min(g.n, 256)
 
     best, since_best = None, 0
 
     def forward(epoch: int) -> tuple:
         e, candidates, s = _structure_for_epoch(x, a_hat, params_s, scorer, cfg, epoch)
-        adj = fuse_with_original(g, s, cfg.residual_weight)
+        adj = fuse_with_original(g, s)
         return (e, candidates, s, adj, *gcn_forward(adj, x, params_t))
 
     def evaluate(epoch: int, fwd: tuple) -> bool:
@@ -391,7 +384,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                 reg = feature_smoothness(s_t.values, rows, cols, g.features)
                 loss = T.add(loss, T.mul(reg, cfg.lam))
             if scorer is not None and cfg.beta > 0:
-                adj_full = fuse_with_original(g, candidates, cfg.residual_weight)
+                adj_full = fuse_with_original(g, candidates)
                 # Representations only: the contrastive term never reads logits.
                 z_full, _ = gcn_forward(adj_full, x, replace(params_t, classifier=None))
                 # Rows zeroed by dead ReLU units have no cosine; restrict
@@ -399,7 +392,7 @@ def train_ingsl(g: Graph, cfg: TrainConfig) -> TrainResult:
                 good = np.flatnonzero(T.nonzero_rows(z_t.data) & T.nonzero_rows(z_full.data))
                 if good.size >= 2:
                     rng_mi = np.random.default_rng([cfg.seed, 3, epoch])
-                    ids = sample_batch(good.size, min(batch_size, good.size), rng_mi)
+                    ids = sample_batch(good.size, min(good.size, MI_BATCH), rng_mi)
                     mi = mi_loss(T.gather_rows(z_t, good), T.gather_rows(z_full, good), ids)
                     loss = T.add(loss, T.mul(mi, cfg.beta))
             if not np.isfinite(loss.data):

@@ -484,6 +484,17 @@ def index_array(idx, bound: int, op: str) -> np.ndarray:
     return arr
 
 
+def mask_ids(mask, n: int, op: str) -> np.ndarray:
+    """The ids of the nodes that ``mask`` selects, the one check of every
+    node mask: a 1-D boolean array of length ``n``. Any other dtype, rank or
+    length raises ``ShapeError``, its message starting with ``op``, where
+    numpy would read ids or weights as a mask."""
+    m = np.asarray(mask)
+    if m.dtype != np.bool_ or m.shape != (n,):
+        raise ShapeError(f"{op}: mask must be a boolean vector of length {n}")
+    return np.flatnonzero(m)
+
+
 def gather_rows(x: Tensor, idx) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"gather_rows requires a 2-D operand, got {x.shape}")
@@ -714,16 +725,16 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.zero_grad()
 
 
-def gradient_check(f, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(f, inputs: Sequence[Tensor]) -> float:
+    """Max relative error between analytic and central-difference gradients,
+    the differences taken at a step of 1e-5.
 
     ``f`` must map the given leaf tensors to a scalar tensor deterministically
     and every input must have requires_grad set. The error per coordinate is
     |analytic - numeric| / max(1, |numeric|); one maximum over every leaf's
     coordinates, NaN if any error is NaN, is the result.
     """
-    if not (1e-8 < step < 1e-3):
-        raise DomainError(f"step {step} outside (1e-8, 1e-3)")
+    step = 1e-5
     inputs = list(inputs)
     for t in inputs:
         if not t.requires_grad:

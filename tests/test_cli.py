@@ -136,7 +136,8 @@ MALFORMED = [
     ({"dataset": {"bundle": 3}}, "dataset.bundle must be a string"),
     ({"hidden": 0}, "hidden must be >= 1"),
     ({"patience": 0}, "patience must be >= 1"),
-    ({"residual_weight": -1}, "residual_weight must be non-negative"),
+    ({"batch_size": 7}, "unknown config keys: batch_size"),
+    ({"residual_weight": 0.5}, "unknown config keys: residual_weight"),
     ({"beta": 1.5}, "beta must lie in [0, 1]"),
     ({"lambda": -0.1}, "lambda must be non-negative"),
     ({"metric": "euclid"}, "metric must be one of"),
@@ -218,15 +219,20 @@ class TestConfigParsing:
             parse_config(experiment_config(name))
         assert sorted(set(re.findall(r"configs/(\w+)\.json", readme))) == names
 
+    def test_readme_config_table_lists_every_key(self):
+        # A config key and its README row cannot drift apart.
+        readme = (ROOT / "README.md").read_text()
+        table = readme.split("| key | type | range | default |\n", 1)[1].split("\n\n", 1)[0]
+        assert sorted(re.findall(r"^\| `(\w+)` \|", table, flags=re.M)) == sorted(cli._SPEC)
+
     def test_train_config_carries_every_shared_field(self):
         cfg = parse_config(
-            base_config(**{"lambda": 0.25, "residual_weight": 0.5, "batch_size": 7, "lr": 0.02})
+            base_config(**{"lambda": 0.25, "lr": 0.02})
         )
         tc = cfg.train_config("no_reduction", 0.25, 9)
         assert (tc.mode, tc.reduction, tc.seed) == ("no_reduction", 0.25, 9)
-        assert (tc.lam, tc.residual_weight, tc.lr) == (0.25, 0.5, 0.02)
+        assert (tc.lam, tc.lr, tc.beta) == (0.25, 0.02, 0.5)
         assert (tc.k, tc.hidden, tc.epochs, tc.patience) == (5, 8, 12, 6)
-        assert (tc.beta, tc.batch_size) == (0.5, 7)
         assert (tc.scorer_kind, tc.metric) == ("bilinear", "inner")
 
 
@@ -237,8 +243,7 @@ JSON_VALUES = st.recursive(
 )
 TOP_KEYS = [
     "dataset", "k", "reduction_levels", "beta", "lambda", "scorer_kind", "lr", "epochs",
-    "patience", "seeds", "mode", "modes", "noise", "batch_size", "residual_weight", "hidden",
-    "metric",
+    "patience", "seeds", "mode", "modes", "noise", "hidden", "metric",
 ]
 NOISE = {"add_ratio": 0.1, "del_ratio": 0.1, "feature_mask_ratio": 0.1}
 
@@ -282,8 +287,6 @@ class TestConfigProperties:
                 "seeds": st.lists(st.integers(0, 2**31), min_size=1, max_size=3, unique=True),
                 "modes": st.lists(st.sampled_from(MODES), min_size=1, max_size=4, unique=True),
                 "noise": st.none() | st.just(NOISE),
-                "batch_size": st.none() | st.integers(1, 512),
-                "residual_weight": st.floats(0.0, 10.0),
                 "hidden": st.integers(1, 512),
                 "metric": st.sampled_from(METRICS),
             }
@@ -536,9 +539,10 @@ class TestExitCodes:
             features=np.full((6, 2), 1e308),
             labels=[0, 1, 0, 1, 0, 1],
             edges=[(0, 1), (2, 3), (4, 5), (1, 2)],
-            train_mask=[1, 1, 0, 0, 0, 0],
-            val_mask=[0, 0, 1, 1, 0, 0],
-            test_mask=[0, 0, 0, 0, 1, 1],
+            train_mask=np.arange(6) < 2,
+            val_mask=(np.arange(6) >= 2) & (np.arange(6) < 4),
+            test_mask=np.arange(6) >= 4,
+            classes=2,
         )
         save_bundle(g, tmp_path / "bad")
         cfg = write_config(
@@ -852,6 +856,7 @@ class TestDiagnoseRedundancy:
             train_mask=[i % 3 == 0 for i in range(n)],
             val_mask=[i % 3 == 1 for i in range(n)],
             test_mask=[i % 3 == 2 for i in range(n)],
+            classes=3,
         )
         save_bundle(g, tmp_path / "ring")
         cfg = write_config(

@@ -171,6 +171,7 @@ class TestGraphInvariants:
                 train_mask=[True, True],
                 val_mask=[True, False],
                 test_mask=[False, True],
+                classes=2,
             )
 
     def test_masks_must_be_nonempty(self):
@@ -182,17 +183,8 @@ class TestGraphInvariants:
                 train_mask=[True, False],
                 val_mask=[False, True],
                 test_mask=[False, False],
+                classes=2,
             )
-
-    def test_inferred_classes_take_integer_labels_only(self):
-        masks = np.eye(3, dtype=bool)
-        assert Graph(np.ones((3, 2)), [0, 4, 1], [], *masks).classes == 5
-        # numpy would read 1.9 as class 1 and the mask as classes 1, 0, 1.
-        for labels in ([0, 1.9, 1], np.array([True, False, True])):
-            with pytest.raises(ShapeError, match=r"^Graph labels: index array must hold integers$"):
-                Graph(np.ones((3, 2)), labels, [[0, 1]], *masks)
-        with pytest.raises(DomainError, match=r"^Graph labels: index out of range"):
-            Graph(np.ones((3, 2)), [0, -1, 1], [[0, 1]], *masks)
 
     def test_nan_features_rejected(self):
         with pytest.raises(ConfigError, match="NaN"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ingsl import gsl
 from ingsl import tensor as T
-from ingsl.errors import ConfigError, DomainError, NumericError
+from ingsl.errors import ConfigError, NumericError
 from ingsl.gnn import GcnParams, make_gcn_params
 from ingsl.gsl import (
     METRICS,
@@ -260,18 +260,10 @@ class TestObjective:
 
 
 class TestFusion:
-    def test_zero_residual_recovers_original(self):
-        rng = np.random.default_rng(6)
-        g = random_graph(rng, 8)
-        e = rng.uniform(0.1, 1.0, (8, 3))
-        cand = build_candidates(T.constant(e), 2)
-        fused = fuse_with_original(g, cand.sparse, residual_weight=0.0)
-        assert np.array_equal(fused.to_dense(), normalize_adjacency(g).to_dense())
-
     def test_empty_candidates_recovers_original(self):
         # Same entries and value bits, on a small graph and the benchmark SBM.
         for g in (random_graph(np.random.default_rng(7), 6), generate_sbm([50] * 4, 0.1, 0.01, 8, 1.0, 0)):
-            fused = fuse_with_original(g, empty_adjacency(g.n), residual_weight=1.0)
+            fused = fuse_with_original(g, empty_adjacency(g.n))
             want = normalize_adjacency(g)
             assert np.array_equal(fused.row_indices, want.row_indices)
             assert np.array_equal(fused.col_indices, want.col_indices)
@@ -287,8 +279,7 @@ class TestFusion:
         )
         e = rng.uniform(0.1, 1.0, (5, 3))
         cand = build_candidates(T.constant(e), 2)
-        w = 0.7
-        fused = fuse_with_original(g, cand.sparse, residual_weight=w)
+        fused = fuse_with_original(g, cand.sparse)
 
         a = np.zeros((5, 5))
         for i, j in g.edges:
@@ -296,12 +287,7 @@ class TestFusion:
         s = np.zeros((5, 5))
         rows, cols = cand.pairs()
         s[rows, cols] = cand.sparse.values.data
-        assert np.abs(fused.to_dense() - dense_normalize(a + w * s)).max() < 1e-12
-
-    def test_negative_residual_rejected(self):
-        g = tiny_graph()
-        with pytest.raises(DomainError):
-            fuse_with_original(g, empty_adjacency(g.n), residual_weight=-1.0)
+        assert np.abs(fused.to_dense() - dense_normalize(a + s)).max() < 1e-12
 
     def test_gradient_through_fusion(self):
         rng = np.random.default_rng(9)
@@ -315,7 +301,7 @@ class TestFusion:
 
         def f(p):
             cand = build_candidates(p, 2)
-            fused = fuse_with_original(g, cand.sparse, residual_weight=1.0)
+            fused = fuse_with_original(g, cand.sparse)
             return T.sum_all(T.mul(fused.values, T.constant(np.arange(1.0, fused.nnz + 1.0))))
 
         assert T.gradient_check(f, [e]) < 1e-4

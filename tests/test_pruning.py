@@ -22,7 +22,6 @@ from ingsl.gnn import (
 from ingsl.graph import Graph, SparseAdjacency, generate_sbm, normalize_adjacency
 from ingsl.gsl import CandidateGraph, build_candidates, encode_structure, fuse_with_original
 from ingsl.pruning import (
-    KEEP_ALL,
     MODES,
     SCORER_KINDS,
     DiversityScorer,
@@ -98,7 +97,7 @@ class TestPrune:
         rng = np.random.default_rng(4)
         cand = candidate_fixture(rng)
         w = T.constant(rng.normal(size=cand.sparse.nnz))
-        out = prune(cand, w, KEEP_ALL)
+        out = prune(cand, w, float("-inf"))
         x = cand.sparse.values.data * w.data
         assert out.nnz == cand.sparse.nnz
         assert np.abs(out.values.data - 1 / (1 + np.exp(-x))).max() < 1e-15
@@ -317,10 +316,10 @@ class TestThresholdPruneComposition:
             s, t_ = cand.pairs()
             w = diversity_scores(e, s, t_, scorer)
             s_t = prune(cand, w, eps)
-            adj_t = fuse_with_original(g, s_t, 1.0)
+            adj_t = fuse_with_original(g, s_t)
             z_t, logits = gcn_forward(adj_t, x, params_t)
             base = task_loss(logits, g.labels, g.train_mask)
-            adj_f = fuse_with_original(g, cand.sparse, 1.0)
+            adj_f = fuse_with_original(g, cand.sparse)
             z_f, _ = gcn_forward(adj_f, x, params_t)
             return T.add(base, T.mul(mi_loss(z_t, z_f, ids), 0.5))
 
@@ -518,8 +517,8 @@ class TestTraining:
                 cand = build_candidates(e, 4)
                 src, dst = cand.pairs()
                 w = T.rowwise_dot(T.gather_rows(e, src), T.gather_rows(e, dst))
-                s_t = prune(cand, w, KEEP_ALL)
-                adj_t = fuse_with_original(g, s_t, 1.0)
+                s_t = prune(cand, w, float("-inf"))
+                adj_t = fuse_with_original(g, s_t)
                 _, logits = gcn_forward(adj_t, x, params_t)
                 loss = task_loss(logits, g.labels, g.train_mask)
                 T.backward(loss, tape)
@@ -587,7 +586,7 @@ class TestTraining:
         e, _, s = pruning._structure_for_epoch(
             x, normalize_adjacency(g), params_s, scorer, cfg, rep.best_epoch + 1
         )
-        _, logits = gcn_forward(fuse_with_original(g, s, cfg.residual_weight), x, params_t)
+        _, logits = gcn_forward(fuse_with_original(g, s), x, params_t)
         assert accuracy(logits, g.labels, g.test_mask) == rep.test_acc
         assert s.nnz == rep.edges_final
         assert np.array_equal(s.col_indices, res.pruned.col_indices)

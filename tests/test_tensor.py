@@ -280,13 +280,6 @@ class TestGradientCheck:
         x = T.parameter(rng.uniform(0.15, 1.0, (3, 3)) * rng.choice([-1.0, 1.0], (3, 3)))
         assert T.gradient_check(lambda p: T.sum_all(T.relu(p)), [x]) < 1e-6
 
-    def test_step_bounds(self):
-        x = T.parameter([1.0])
-        with pytest.raises(DomainError):
-            T.gradient_check(lambda p: T.sum_all(p), [x], step=1e-2)
-        with pytest.raises(DomainError):
-            T.gradient_check(lambda p: T.sum_all(p), [x], step=1e-9)
-
     def test_non_scalar_target_rank_error(self):
         x = T.parameter([1.0, 2.0])
         with pytest.raises(RankError):
@@ -361,7 +354,7 @@ class TestGradientCheck:
         if op not in ("log", "normalize"):
             data = data * rng.choice([-1.0, 1.0], (rows, cols))
         x = T.parameter(data)
-        assert T.gradient_check(self._OPS[op], [x], step=1e-5) < 1e-4
+        assert T.gradient_check(self._OPS[op], [x]) < 1e-4
 
 
 class TestStructureOps:
@@ -544,6 +537,37 @@ def test_entry_point_id_arrays(prefix, bound, call):
         with pytest.raises(ShapeError, match=rf"^{prefix}: index array must hold integers$"):
             call(bad)
     call([0, 1, 2, bound - 1])
+
+
+def _graph_with_mask(i, mask):
+    masks = list(_MASKS)
+    masks[i] = mask
+    return Graph(np.ones((4, 1)), [0, 1, 2, 3], [], *masks, classes=4)
+
+
+# (entry point, the prefix of its messages, the entry point called with one
+# node mask, a mask it accepts). Every entry point reads its masks through
+# T.mask_ids.
+MASK_ENTRY_POINTS = [
+    ("task_loss", "task_loss", lambda m: task_loss(_M4x3, [0, 1, 2, 0], m), np.ones(4, bool)),
+    ("accuracy", "accuracy", lambda m: accuracy(_M4x3, [0, 1, 2, 0], m), np.ones(4, bool)),
+    *[
+        (f"Graph-{name}", f"Graph {name}", lambda m, i=i: _graph_with_mask(i, m), _MASKS[i])
+        for i, name in enumerate(("train_mask", "val_mask", "test_mask"))
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "prefix,call,valid", [c[1:] for c in MASK_ENTRY_POINTS], ids=[c[0] for c in MASK_ENTRY_POINTS]
+)
+def test_entry_point_node_masks(prefix, call, valid):
+    # numpy would read the ids [0, 2] as a mask of node 1 alone, and the
+    # weight 0.5 and the id 2 as True.
+    for bad in ([0, 2], [0.5, 0, 0, 0], [0, 0, 2, 0], np.ones(3, bool), np.ones((1, 4), bool)):
+        with pytest.raises(ShapeError, match=rf"^{prefix}: mask must be a boolean vector of length 4$"):
+            call(bad)
+    call(valid)
 
 
 def test_bool_mask_is_not_an_index_array():
