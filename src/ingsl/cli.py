@@ -422,7 +422,10 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     it draws only when its check runs. Instances avoid relu/threshold kinks
     by construction (margins > 1e-1 on sampled coordinates, fixed seeds
     elsewhere). spmm and sddmm each have an instance on either side of the
-    tensor module's dense-path size rule.
+    tensor module's dense-path size rule. The loss ops softmax_cross_entropy
+    and contrastive_loss have no op row: the composite rows
+    gcn_forward+task_loss and mi_loss check them, as they checked the ops
+    the two losses were composed of before.
     """
     rng = np.random.default_rng([seed, 11])
     domains = {

@@ -80,18 +80,23 @@ def gcn_forward(
     return h, logits
 
 
+def _node_labels(labels, n: int, op: str) -> np.ndarray:
+    """``labels`` as an array of one entry per logits row; any other shape
+    raises ``ShapeError``, its message starting with ``op``. The entries
+    are checked as ids by ``tensor.index_array`` where they are read."""
+    arr = np.asarray(labels)
+    if arr.shape != (n,):
+        raise ShapeError(f"{op}: labels must hold one entry per logits row ({n}), got shape {arr.shape}")
+    return arr
+
+
 def task_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> T.Tensor:
     """Mean cross-entropy of the masked nodes via the log-sum-exp trick."""
-    idx = T.mask_ids(mask, logits.shape[0], "task_loss")
+    n = logits.shape[0]
+    idx = T.mask_ids(mask, n, "task_loss")
     if idx.size == 0:
         raise ConfigError("task_loss mask selects no nodes")
-    sel = T.gather_rows(logits, idx)
-    # Row max is detached; it cancels out of the loss value and gradient.
-    mx = sel.data.max(axis=1)
-    shifted = T.sub(sel, T.constant(np.repeat(mx[:, None], sel.shape[1], axis=1)))
-    lse = T.log(T.row_sum(T.exp(shifted)))
-    true = T.gather_pairs(shifted, np.arange(idx.size), np.asarray(labels)[idx])
-    return T.mul(T.sum_all(T.sub(lse, true)), 1.0 / idx.size)
+    return T.softmax_cross_entropy(logits, idx, _node_labels(labels, n, "task_loss")[idx])
 
 
 def accuracy(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -99,10 +104,11 @@ def accuracy(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> float:
 
     Ties break toward the smallest class index.
     """
-    idx = T.mask_ids(mask, logits.shape[0], "accuracy")
+    n = logits.shape[0]
+    idx = T.mask_ids(mask, n, "accuracy")
     if idx.size == 0:
         raise ConfigError("accuracy mask selects no nodes")
-    true = T.index_array(np.asarray(labels)[idx], logits.shape[1], "accuracy labels")
+    true = T.index_array(_node_labels(labels, n, "accuracy")[idx], logits.shape[1], "accuracy labels")
     return float((logits.data[idx].argmax(axis=1) == true).mean())
 
 

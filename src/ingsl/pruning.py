@@ -190,18 +190,11 @@ def mi_loss(z_tilde: T.Tensor, z: T.Tensor, batch) -> T.Tensor:
     ids = T.index_array(batch, n, "mi_loss batch")
     if ids.size == 0:
         raise ConfigError("batch must be a non-empty id set")
-    if np.unique(ids).size != ids.size:
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    if np.count_nonzero(seen) != ids.size:
         raise ConfigError("batch ids must be distinct")
-
-    zt = T.row_l2_normalize(z_tilde)
-    zn = T.row_l2_normalize(z)
-    pos = T.rowwise_dot(zt, zn)
-    cos_batch = T.matmul(zt, T.transpose(T.gather_rows(zn, ids)))
-    denom = T.row_sum(T.exp(cos_batch))
-    outside = np.ones(n)
-    outside[ids] = 0.0
-    denom = T.add(denom, T.mul(T.exp(pos), T.constant(outside)))
-    return T.mul(T.sum_all(T.sub(T.log(denom), pos)), 1.0 / n)
+    return T.contrastive_loss(z_tilde, z, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the implementation path it checks: matrix
 products by explicit triple loops, normalization via dense matrices, losses
-via direct softmax, selections via full sorts.
+via direct softmax, selections via full sorts. The two ``*_composed``
+losses are the compositions of tape ops that the fused loss ops replaced.
 """
 
 import math
@@ -104,6 +105,39 @@ def mi_naive(z_tilde, z, batch_ids):
             denom += pos
         total += -math.log(pos / denom)
     return total / n
+
+
+def cross_entropy_composed(logits, rows, cols):
+    """``tensor.softmax_cross_entropy`` as the composition of tape ops it
+    replaces: gathered rows shifted by their detached max, then the mean of
+    log-sum-exp minus the shifted logit of each target column."""
+    from ingsl import tensor as T
+
+    k = len(rows)
+    sel = T.gather_rows(logits, rows)
+    mx = sel.data.max(axis=1)
+    shifted = T.sub(sel, T.constant(np.repeat(mx[:, None], sel.shape[1], axis=1)))
+    lse = T.log(T.row_sum(T.exp(shifted)))
+    true = T.gather_pairs(shifted, np.arange(k), cols)
+    return T.mul(T.sum_all(T.sub(lse, true)), 1.0 / k)
+
+
+def contrastive_composed(z_tilde, z, ids):
+    """``tensor.contrastive_loss`` as the composition of tape ops it
+    replaces: row-normalized views, positives by a row-wise dot, the batch
+    cosines by a product with the transposed gathered rows."""
+    from ingsl import tensor as T
+
+    n = z_tilde.shape[0]
+    zt = T.row_l2_normalize(z_tilde)
+    zn = T.row_l2_normalize(z)
+    pos = T.rowwise_dot(zt, zn)
+    cos_batch = T.matmul(zt, T.transpose(T.gather_rows(zn, ids)))
+    denom = T.row_sum(T.exp(cos_batch))
+    outside = np.ones(n)
+    outside[ids] = 0.0
+    denom = T.add(denom, T.mul(T.exp(pos), T.constant(outside)))
+    return T.mul(T.sum_all(T.sub(T.log(denom), pos)), 1.0 / n)
 
 
 def adam_reference(params, grads_by_step, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -110,6 +110,16 @@ class TestTaskLoss:
             assert float(task_loss(T.constant(logits), labels, np.ones(6, bool)).data) >= 0.0
 
 
+@pytest.mark.parametrize("op", [task_loss, accuracy], ids=["task_loss", "accuracy"])
+@pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 0, 9, 9]], ids=["short", "long"])
+def test_labels_hold_one_entry_per_logits_row(op, labels):
+    # Short labels used to escape as numpy's IndexError; long ones had their
+    # extra ids ignored, so accuracy scored 0.5.
+    name = op.__name__
+    with pytest.raises(ShapeError, match=rf"^{name}: labels must hold one entry per logits row \(4\), "):
+        op(T.constant(np.eye(4, 3)), labels, np.ones(4, bool))
+
+
 class TestAccuracy:
     def test_one_hot_perfect(self):
         labels = np.array([2, 0, 1])

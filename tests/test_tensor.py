@@ -18,7 +18,7 @@ from ingsl.graph import Graph, SparseAdjacency, canonical_edges, generate_sbm, n
 from ingsl.gsl import build_candidates, feature_smoothness
 from ingsl.pruning import diversity_scores, make_scorer, mi_loss
 
-from oracles import matmul_triple_loop, sddmm_loop
+from oracles import contrastive_composed, cross_entropy_composed, matmul_triple_loop, sddmm_loop
 
 # Values of the dense-path constant that send every spmm and sddmm call with
 # at least one entry to the exact kernels, or to the GEMMs.
@@ -445,6 +445,7 @@ class TestStructureOps:
 
 
 _M3x2, _M4x2, _V2, _V3 = (T.constant(np.ones(s)) for s in ((3, 2), (4, 2), 2, 3))
+_M2x2 = T.constant(np.eye(2) + 0.5)
 
 # (op, index argument, its bound, the op called with that argument's second
 # index set to i). Where an op takes two index arrays, their bounds differ.
@@ -458,6 +459,9 @@ INDEX_ARGUMENTS = [
     ("spmm", "cols", 3, lambda i: T.spmm([0, 1], [0, i], _V2, _M3x2, 5)),
     ("sddmm", "rows", 3, lambda i: T.sddmm([0, i], [0, 1], _M3x2, _M4x2)),
     ("sddmm", "cols", 4, lambda i: T.sddmm([0, 1], [0, i], _M3x2, _M4x2)),
+    ("softmax_cross_entropy", "rows", 3, lambda i: T.softmax_cross_entropy(_M3x2, [0, i], [0, 1])),
+    ("softmax_cross_entropy", "cols", 2, lambda i: T.softmax_cross_entropy(_M3x2, [0, 1], [0, i])),
+    ("contrastive_loss", "ids", 3, lambda i: T.contrastive_loss(_M3x2, _M3x2, [0, i])),
 ]
 
 
@@ -500,7 +504,8 @@ def _scores(kind, src, dst):
 
 # (entry point, the prefix of its messages, its bound, the entry point called
 # with one 4-entry id array). Every entry point checks its ids through
-# T.index_array; diversity_scores and task_loss leave it to the tape op they call.
+# T.index_array; diversity_scores leaves it to the tape op it calls, and
+# task_loss its labels to softmax_cross_entropy.
 ID_ENTRY_POINTS = [
     ("SparseAdjacency-rows", "SparseAdjacency rows", 4, lambda ids: _sparse(ids, [0, 1, 2, 3])),
     ("SparseAdjacency-cols", "SparseAdjacency cols", 4, lambda ids: _sparse([0, 1, 2, 3], ids)),
@@ -520,7 +525,7 @@ ID_ENTRY_POINTS = [
     ("diversity_scores-bilinear-dst", "sddmm", 4, lambda ids: _scores("bilinear", [1, 0, 3, 2], ids)),
     ("diversity_scores-mlp-src", "gather_rows", 4, lambda ids: _scores("mlp", ids, [1, 0, 3, 2])),
     ("diversity_scores-mlp-dst", "gather_rows", 4, lambda ids: _scores("mlp", [1, 0, 3, 2], ids)),
-    ("task_loss-labels", "gather_pairs", 3, lambda ids: task_loss(_M4x3, ids, np.ones(4, dtype=bool))),
+    ("task_loss-labels", "softmax_cross_entropy", 3, lambda ids: task_loss(_M4x3, ids, np.ones(4, dtype=bool))),
     ("accuracy-labels", "accuracy labels", 3, lambda ids: accuracy(_M4x3, ids, np.ones(4, dtype=bool))),
 ]
 
@@ -1195,3 +1200,179 @@ class TestFiniteGuard:
             warnings.simplefilter("error")
             out = T.mul(x, 1.0)
         assert np.array_equal(out.data, np.array(values))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).reshape(-1).view(np.uint64)
+
+
+def _value_and_grads(loss, leaves, weight, extra):
+    """The value of ``loss()`` and every leaf's gradient of ``weight *
+    loss()``, plus the sum of squares of the first leaf when ``extra``, so
+    that leaf also takes a gradient from outside the loss."""
+    for t in leaves:
+        t.zero_grad()
+    with T.Tape() as tape:
+        value = loss()
+        out = T.mul(value, weight)
+        if extra:
+            out = T.add(out, T.sum_all(T.mul(leaves[0], leaves[0])))
+        T.backward(out, tape)
+    return _bits(value.data), [None if t.grad is None else _bits(t.grad) for t in leaves]
+
+
+def _assert_same_bits(got, want):
+    (gv, gg), (wv, wg) = got, want
+    assert np.array_equal(gv, wv)
+    assert len(gg) == len(wg)
+    for a, b in zip(gg, wg):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a, b)
+
+
+# Upstream weights include both zeros and a negative, so a -0.0 gradient
+# reaches the signed-zero additions of both backward rules.
+_WEIGHTS = st.sampled_from([1.0, 2.5, -3e-3, 0.0, -0.0])
+
+
+def _draw_array(data, shape, ties, low, high):
+    """Either entries drawn from the few values ``ties``, so rows tie within
+    and across themselves, or uniform ones in [low, high) with random signs
+    from a drawn seed, whose sums round in every last bit."""
+    if data.draw(st.booleans()):
+        return data.draw(arrays(np.float64, shape, elements=st.sampled_from(ties)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return rng.uniform(low, high, shape) * rng.choice([-1.0, 1.0], shape)
+
+
+class TestFusedLosses:
+    """The two loss ops against the compositions of tape ops they replace
+    (tests/oracles.py): value and gradients equal bit for bit, and the same
+    exception on each error path. Widths 64 and above take _scatter_add's
+    prefix loop, narrower ones its bincount."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 7),
+        st.sampled_from([1, 2, 3, 5, 64, 67]),
+        _WEIGHTS,
+        st.booleans(),
+    )
+    def test_cross_entropy_matches_composition(self, data, n, c, weight, extra):
+        # Shifted logits below -745 underflow exp to 0.
+        logits = T.parameter(_draw_array(data, (n, c), [-2.0, 0.0, 0.5, 3.0], 0.0, 800.0))
+        mask = data.draw(arrays(np.bool_, n))
+        mask[data.draw(st.integers(0, n - 1))] = True
+        rows = np.flatnonzero(mask)
+        cols = data.draw(arrays(np.int64, rows.size, elements=st.integers(0, c - 1)))
+        got = _value_and_grads(lambda: T.softmax_cross_entropy(logits, rows, cols), [logits], weight, extra)
+        want = _value_and_grads(lambda: cross_entropy_composed(logits, rows, cols), [logits], weight, extra)
+        _assert_same_bits(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 7),
+        st.sampled_from([2, 3, 5, 64, 66]),  # a width-1 row normalizes to +-1, with no gradient
+        st.sampled_from(["both", "z_tilde", "z", "same"]),
+        _WEIGHTS,
+        st.booleans(),
+    )
+    def test_contrastive_matches_composition(self, data, n, d, grads, weight, extra):
+        draw_view = lambda: _draw_array(data, (n, d), [-1.0, 0.5, 2.0], 0.1, 4.0)  # noqa: E731
+        if grads == "same":
+            zt = z = T.parameter(draw_view())
+            leaves = [z]
+        else:
+            zt = T.Tensor(draw_view(), requires_grad=grads != "z")
+            z = T.Tensor(draw_view(), requires_grad=grads != "z_tilde")
+            leaves = [zt, z] if grads == "both" else [zt if grads == "z_tilde" else z]
+        # Some or all rows, in any order.
+        ids = np.array(data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))], dtype=np.int64)
+        got = _value_and_grads(lambda: T.contrastive_loss(zt, z, ids), leaves, weight, extra)
+        want = _value_and_grads(lambda: contrastive_composed(zt, z, ids), leaves, weight, extra)
+        _assert_same_bits(got, want)
+
+    def test_one_tensor_as_both_views_sums_in_composition_order(self):
+        # The leaf takes the two views' gradients after one from outside the
+        # loss, so the order of the two additions shows in the last bits.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            x = T.parameter(rng.uniform(0.1, 2.0, (5, 3)))
+            ids = rng.permutation(5)[:2]
+            got = _value_and_grads(lambda: T.contrastive_loss(x, x, ids), [x], 1.0, True)
+            want = _value_and_grads(lambda: contrastive_composed(x, x, ids), [x], 1.0, True)
+            _assert_same_bits(got, want)
+
+    _CE_ERRORS = {
+        "1-D logits": (np.ones(4), [0], [0], ShapeError),
+        "row out of range": (np.ones((4, 3)), [0, 4], [0, 1], DomainError),
+        "column out of range": (np.ones((4, 3)), [0, 1], [0, 3], DomainError),
+        "negative column": (np.ones((4, 3)), [0, 1], [0, -1], DomainError),
+        "float columns": (np.ones((4, 3)), [0, 1], [0.0, 1.0], ShapeError),
+        "lengths differ": (np.ones((4, 3)), [0, 1], [0], ShapeError),
+        "nan logit": (np.array([[0.0, np.nan], [1.0, 2.0]]), [0, 1], [0, 1], NumericError),
+        "inf logit": (np.array([[0.0, np.inf], [1.0, 2.0]]), [1, 0], [0, 1], NumericError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_CE_ERRORS))
+    def test_cross_entropy_errors_match_composition(self, case):
+        logits, rows, cols, error = self._CE_ERRORS[case]
+        for loss in (T.softmax_cross_entropy, cross_entropy_composed):
+            with pytest.raises(error):
+                loss(T.parameter(logits), rows, cols)
+
+    def test_cross_entropy_of_no_rows(self):
+        # The composition divided by zero here; task_loss refuses an empty
+        # mask before it reaches the op.
+        with pytest.raises(ShapeError, match="^softmax_cross_entropy: no rows selected$"):
+            T.softmax_cross_entropy(T.parameter(np.ones((4, 3))), [], [])
+
+    _ZERO_ROW = np.array([[1.0, 2.0], [0.0, 1.0], [0.0, 0.0], [3.0, -1.0]])
+    _CONTRASTIVE_ERRORS = {
+        "1-D views": (np.ones(4), np.ones(4), [0], ShapeError, None),
+        "shapes differ": (np.ones((4, 2)), np.ones((4, 3)), [0], ShapeError, None),
+        "id out of range": (np.ones((4, 2)), np.ones((4, 2)), [0, 4], DomainError, None),
+        # z_tilde is checked first, as row_l2_normalize(z_tilde) ran first.
+        "zero rows in both": (_ZERO_ROW, _ZERO_ROW[::-1], [0], DegenerateRowError, "^row 2 has norm"),
+        "zero row in z": (np.ones((4, 2)), _ZERO_ROW, [0], DegenerateRowError, "^row 2 has norm"),
+        "nan row": (np.ones((4, 2)), np.array([[1.0, 1.0]] * 3 + [[np.nan, 1.0]]), [0], DegenerateRowError, "^row 3"),
+        "inf entry": (np.array([[1.0, np.inf]] + [[1.0, 1.0]] * 3), np.ones((4, 2)), [0], NumericError, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_CONTRASTIVE_ERRORS))
+    def test_contrastive_errors_match_composition(self, case):
+        zt, z, ids, error, match = self._CONTRASTIVE_ERRORS[case]
+        for loss in (T.contrastive_loss, contrastive_composed):
+            with pytest.raises(error, match=match):
+                loss(T.parameter(zt), T.parameter(z), ids)
+
+    _OVERFLOWS = {
+        # Row max minus row min overflows.
+        "cross_entropy shift": lambda: T.softmax_cross_entropy(T.parameter([[1e308, -1e308, 0.0]]), [0], [1]),
+        # Each row's term is finite; their sum is not.
+        "cross_entropy sum": lambda: T.softmax_cross_entropy(T.parameter([[0.0, -1.7e308]] * 2), [0, 1], [1, 1]),
+        "task_loss": lambda: task_loss(T.parameter([[1e308, -1e308]] * 2), [1, 0], np.ones(2, bool)),
+        # A sum of squares overflows, where 1e200 / inf would read as 0.
+        "contrastive_loss": lambda: T.contrastive_loss(T.parameter([[1e200, 1.0], [1.0, 1.0]]), _M2x2, [0]),
+        "mi_loss": lambda: mi_loss(_M2x2, T.parameter([[1.0, 1.0], [1e160, -1e160]]), [0, 1]),
+        "row_l2_normalize": lambda: T.row_l2_normalize(T.parameter([[1e200, 1e200]])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_OVERFLOWS))
+    def test_overflowing_finite_input_raises_numeric_error(self, case):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="produced non-finite values$"):
+                self._OVERFLOWS[case]()
+
+    def test_one_tape_node_per_loss(self):
+        x = T.parameter(np.ones((3, 2)))
+        with T.Tape() as tape:
+            T.softmax_cross_entropy(x, [0, 2], [1, 0])
+            T.contrastive_loss(x, x, [1])
+        assert [node.name for node in tape.nodes] == ["softmax_cross_entropy", "contrastive_loss"]
