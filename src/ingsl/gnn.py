@@ -91,7 +91,8 @@ def _node_labels(labels, n: int, op: str) -> np.ndarray:
 
 
 def task_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray) -> T.Tensor:
-    """Mean cross-entropy of the masked nodes via the log-sum-exp trick."""
+    """Mean cross-entropy of the masked nodes via the log-sum-exp trick, as
+    one tape op, ``tensor.softmax_cross_entropy``."""
     n = logits.shape[0]
     idx = T.mask_ids(mask, n, "task_loss")
     if idx.size == 0:

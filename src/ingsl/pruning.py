@@ -181,8 +181,10 @@ def mi_loss(z_tilde: T.Tensor, z: T.Tensor, batch) -> T.Tensor:
     and full-graph representations (negated, so lower is better).
 
     Per anchor i the positive is cos(z_tilde_i, z_i); the denominator sums
-    exp(cosine) over the sampled node-id set ``batch`` plus the anchor's own
-    positive, so every per-anchor term is non-negative.
+    exp(cosine) over the sampled node-id set ``batch``, plus the anchor's own
+    positive when ``batch`` leaves it out, so every per-anchor term is
+    non-negative. The checks here come first, then one tape op,
+    ``tensor.contrastive_loss``.
     """
     n = z_tilde.shape[0]
     if z.shape != z_tilde.shape:
