@@ -52,7 +52,7 @@ class LemmaReport:
 def _mean_pair_cosines(vectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Mean cosine over the unordered pairs within each run of ``counts[i]``
     consecutive rows (each at least 2), from segment sums of the unit rows."""
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = T.row_norms(vectors)
     if not T.nonzero_rows(vectors, norms).all():
         raise MetricError("pairwise similarity undefined for zero rows")
     unit = vectors / norms[:, None]
@@ -100,8 +100,11 @@ def cone_points(anchor: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
     the result does not depend on the BLAS library or its thread count.
     """
     w = w - (w * anchor).sum(axis=1, keepdims=True) * anchor
-    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    norm = T.row_norms(w, keepdims=True)
     flat = norm < 1e-12
+    if not flat.any():
+        w /= norm
+        return c[:, None] * anchor + np.sqrt(np.maximum(0.0, 1.0 - c * c))[:, None] * w
     w /= np.where(flat, 1.0, norm)
     u = c[:, None] * anchor + np.sqrt(np.maximum(0.0, 1.0 - c * c))[:, None] * w
     return np.where(flat, anchor, u)

@@ -353,7 +353,7 @@ def _gcn_case(rng: np.random.Generator):
     labels = rng.integers(c, size=n)
     mask = np.ones(n, dtype=bool)
     leaves = [adj.values, x, *params.layer_weights, params.classifier]
-    return lambda *_: task_loss(gcn_forward(adj, x, params)[1], labels, mask), leaves
+    return lambda *_: task_loss(gcn_forward(adj, x, params)[1], labels, mask), leaves, None
 
 
 def _scorer_case(kind: str, rng: np.random.Generator):
@@ -366,10 +366,7 @@ def _scorer_case(kind: str, rng: np.random.Generator):
         scorer.params["scorer.mlp_hidden"].data *= 3.0
     src = np.arange(6)
     dst = np.roll(src, -1)
-    return (
-        lambda *_: T.sum_all(diversity_scores(e, src, dst, scorer)),
-        [e, *scorer.params.values()],
-    )
+    return lambda *_: diversity_scores(e, src, dst, scorer), [e, *scorer.params.values()], np.ones(src.size)
 
 
 def _prune_case(rng: np.random.Generator):
@@ -383,13 +380,14 @@ def _prune_case(rng: np.random.Generator):
     eps = select_threshold(x, 0.5)
     if np.abs(x - eps).min() < 1e-3:  # keep the mask stable across the FD perturbation
         eps -= 5e-4
-    return lambda *_: T.sum_all(prune(cand, w, eps).values), [vals, w]
+    kept = np.count_nonzero(x >= eps)
+    return lambda *_: prune(cand, w, eps).values, [vals, w], np.ones(kept)
 
 
 def _mi_case(rng: np.random.Generator):
     """The contrastive loss between two views over three anchor nodes."""
     views = [T.parameter(rng.uniform(0.3, 1.0, (6, 3))) for _ in range(2)]
-    return lambda zt, z: mi_loss(zt, z, np.array([0, 2, 4])), views
+    return lambda zt, z: mi_loss(zt, z, np.array([0, 2, 4])), views, None
 
 
 def _pipeline_case(rng: np.random.Generator):
@@ -404,8 +402,10 @@ def _pipeline_case(rng: np.random.Generator):
     cand, w = scored()
     # The boundary edge sits exactly at the selected threshold; shift eps
     # below it so the FD perturbation cannot flip the kept set.
-    eps = select_threshold(cand.sparse.values.data * w.data, 0.4) - 1e-3
-    return lambda *_: T.sum_all(prune(*scored(), eps).values), [e, *scorer.params.values()]
+    x = cand.sparse.values.data * w.data
+    eps = select_threshold(x, 0.4) - 1e-3
+    kept = np.count_nonzero(x >= eps)
+    return lambda *_: prune(*scored(), eps).values, [e, *scorer.params.values()], np.ones(kept)
 
 
 def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
@@ -413,13 +413,16 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
     the composite stages training runs.
 
     Each op row is (name, op, leaf shapes, leaf domain), the domain one name
-    for every leaf or a tuple of one per leaf. Its objective weights
-    output entry i by i + 1, so a backward rule that permutes, drops or
-    misroutes entries cannot cancel out. The table is built on every call, so
-    it binds the tensor module's ops as they are then, wrapped or not.
-    Each composite row is (name, generator tag, case). A case maps the
-    generator ``default_rng([seed, tag])`` to an objective and its leaves;
-    it draws only when its check runs. Instances avoid relu/threshold kinks
+    for every leaf or a tuple of one per leaf. Its check hands
+    ``gradient_check`` the op itself and weights that scale output entry i
+    by i + 1, so a backward rule that permutes, drops or misroutes entries
+    cannot cancel out. The table is built on every call, so it binds the
+    tensor module's ops as they are then, wrapped or not. Each composite
+    row is (name, generator tag, case). A case maps the generator
+    ``default_rng([seed, tag])`` to ``gradient_check``'s arguments: a stage
+    and its leaves, and weights of ones for a stage with a vector output
+    (the objective is then the output's sum), or None for a scalar loss; it
+    draws only when its check runs. Instances avoid relu/threshold kinks
     by construction (margins > 1e-1 on sampled coordinates, fixed seeds
     elsewhere). spmm and sddmm each have an instance on either side of the
     tensor module's dense-path size rule. The loss ops softmax_cross_entropy
@@ -492,17 +495,12 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
         ("prune_pipeline", 18, _pipeline_case),
     ]
 
-    def weighted(op, leaves):
-        weight = None  # the constant 1, 2, ... in the output's shape, built on the first call
+    def ramped(op, leaves):
+        def check():
+            out = op(*leaves)  # untaped, for the output's shape
+            return T.gradient_check(op, leaves, np.arange(1.0, out.size + 1).reshape(out.shape))
 
-        def objective(*xs):
-            nonlocal weight
-            out = op(*xs)
-            if weight is None:
-                weight = T.constant(np.arange(1.0, out.size + 1).reshape(out.shape))
-            return T.sum_all(T.mul(out, weight))
-
-        return lambda: T.gradient_check(objective, leaves)
+        return check
 
     def drawn(tag, case):
         return lambda: T.gradient_check(*case(np.random.default_rng([seed, tag])))
@@ -512,7 +510,7 @@ def default_battery(seed: int = 0) -> list[tuple[str, callable]]:
         return [T.parameter(domains[d](s)) for s, d in zip(shapes, per_leaf)]
 
     return [
-        (name, weighted(op, leaves(shapes, domain))) for name, op, shapes, domain in rows
+        (name, ramped(op, leaves(shapes, domain))) for name, op, shapes, domain in rows
     ] + [(name, drawn(tag, case)) for name, tag, case in composites]
 
 

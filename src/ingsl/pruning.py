@@ -223,7 +223,7 @@ class TrainConfig:
     epochs: int = 300
     patience: int = 50
     hidden: int = 128
-    metric: str = "inner"
+    metric: str = "cosine"
 
     def __post_init__(self):
         if not (0.0 <= self.reduction < 1.0):

@@ -200,15 +200,22 @@ def _matmul_operands(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, np.ndar
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2-D tensors. The backward computes the
+    gradient of each operand that requires it, and None for the other."""
     ad, bd = _matmul_operands(a, b, "matmul")
-    return _out(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g), "matmul")
+
+    def bwd(g):
+        return (g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None)
+
+    return _out(ad @ bd, (a, b), bwd, "matmul")
 
 
 def matmul_relu(a: Tensor, w: Tensor) -> Tensor:
     """``relu(matmul(a, w))`` as one op, with the same values and gradients
     bit for bit. The clamp runs in place on the product, and the backward
     reads ReLU's mask from the output (positive exactly where the product
-    is), so no pre-activation outlives the call."""
+    is), so no pre-activation outlives the call. Like ``matmul``, the
+    backward skips the gradient of an operand that does not require it."""
     ad, wd = _matmul_operands(a, w, "matmul_relu")
     out = ad @ wd
     _ensure_finite(out, "matmul_relu")  # before the clamp maps -inf to 0
@@ -216,7 +223,7 @@ def matmul_relu(a: Tensor, w: Tensor) -> Tensor:
 
     def bwd(g):
         gz = g * (out > 0.0)
-        return (gz @ wd.T, ad.T @ gz)
+        return (gz @ wd.T if a.requires_grad else None, ad.T @ gz if w.requires_grad else None)
 
     return _recorded(out, (a, w), bwd, "matmul_relu")
 
@@ -284,11 +291,18 @@ def pow_const(x: Tensor, p: float) -> Tensor:
 ZERO_ROW_NORM = 1e-12
 
 
+def row_norms(data: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """The Euclidean norm of each row of the 2-D array ``data``:
+    ``np.linalg.norm(data, axis=1)``'s own formula for real input, bit for
+    bit, without its ``conj()`` copy."""
+    return np.sqrt(np.add.reduce(data * data, axis=1, keepdims=keepdims))
+
+
 def nonzero_rows(data: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """Mask of the rows with L2 ``norms`` (computed if not given) at least
     ZERO_ROW_NORM; every other row is a zero row and has no direction."""
     if norms is None:
-        norms = np.linalg.norm(data, axis=1)
+        norms = row_norms(data)
     return norms >= ZERO_ROW_NORM
 
 
@@ -299,7 +313,7 @@ def _unit_rows(d: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
     entry or a sum of squares that overflows, raises ``NumericError``. A
     finite norm bounds every entry of its row, so the result is finite."""
     with np.errstate(over="ignore"):  # overflow surfaces as NumericError
-        norms = np.sqrt((d**2).sum(axis=1))
+        norms = row_norms(d)
     tiny = np.flatnonzero(~nonzero_rows(d, norms))
     if tiny.size:
         raise DegenerateRowError(f"row {int(tiny[0])} has norm below {ZERO_ROW_NORM:g}")
@@ -327,7 +341,7 @@ def row_l2_normalize_or_zero(x: Tensor) -> Tensor:
     instead of raising. Directionless rows then have cosine 0 to everything."""
     if x.data.ndim != 2:
         raise ShapeError(f"row_l2_normalize_or_zero requires a 2-D operand, got {x.shape}")
-    norms = np.sqrt((x.data**2).sum(axis=1))
+    norms = row_norms(x.data)
     good = nonzero_rows(x.data, norms)
     safe = np.where(good, norms, 1.0)
     out = np.where(good[:, None], x.data / safe[:, None], 0.0)
@@ -843,14 +857,21 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.zero_grad()
 
 
-def gradient_check(f, inputs: Sequence[Tensor]) -> float:
-    """Max relative error between analytic and central-difference gradients,
-    the differences taken at a step of 1e-5.
+def gradient_check(f, inputs: Sequence[Tensor], weights=None) -> float:
+    """Max relative error between the analytic and central-difference
+    gradients of a scalar objective, the differences taken at a step of 1e-5.
 
-    ``f`` must map the given leaf tensors to a scalar tensor deterministically
-    and every input must have requires_grad set. The error per coordinate is
-    |analytic - numeric| / max(1, |numeric|); one maximum over every leaf's
-    coordinates, NaN if any error is NaN, is the result.
+    ``f`` maps the given leaf tensors to a tensor deterministically, and
+    every input must have requires_grad set. Without ``weights`` the
+    objective is ``f``'s output, which must be a scalar. With ``weights``, an
+    array of the shape of ``f``'s output (or ``ShapeError`` is raised before
+    any coordinate is perturbed), it is sum(weights * f(x)): the analytic
+    pass records ``sum_all(mul(f(x), constant(weights)))``, and each
+    finite-difference evaluation takes the same product and sum in numpy,
+    on the same C-ordered copy of the weights, so it runs no op but ``f``'s.
+    The error per coordinate is |analytic - numeric| / max(1, |numeric|);
+    one maximum over every leaf's coordinates, NaN if any error is NaN, is
+    the result.
     """
     step = 1e-5
     inputs = list(inputs)
@@ -858,16 +879,28 @@ def gradient_check(f, inputs: Sequence[Tensor]) -> float:
         if not t.requires_grad:
             raise DomainError("gradient_check inputs must require grad")
         t.zero_grad()
+    w = None if weights is None else constant(weights)
 
     with Tape() as tape:
         out = f(*inputs)
-        if out.data.ndim != 0:
-            raise RankError(f"gradient_check target must be scalar, got {out.shape}")
+        if w is None:
+            if out.data.ndim != 0:
+                raise RankError(f"gradient_check target must be scalar, got {out.shape}")
+        elif out.shape != w.shape:
+            raise ShapeError(f"gradient_check: weights of shape {w.shape} for an output of shape {out.shape}")
+        else:
+            out = sum_all(mul(out, w))
         backward(out, tape)
     analytic = np.concatenate(
         [np.zeros(0)] + [np.zeros(t.size) if t.grad is None else t.grad.reshape(-1) for t in inputs]
     )
     zero_grads(inputs)
+
+    wd = None if w is None else w.data
+
+    def objective() -> float:
+        d = f(*inputs).data
+        return float(d if wd is None else (d * wd).sum())
 
     numeric = []
     for t in inputs:
@@ -876,9 +909,9 @@ def gradient_check(f, inputs: Sequence[Tensor]) -> float:
             orig = flat[i]
             try:
                 flat[i] = orig + step
-                fp = float(f(*inputs).data)
+                fp = objective()
                 flat[i] = orig - step
-                fm = float(f(*inputs).data)
+                fm = objective()
             finally:
                 flat[i] = orig
             numeric.append((fp - fm) / (2.0 * step))

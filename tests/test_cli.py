@@ -233,7 +233,7 @@ class TestConfigParsing:
         assert (tc.mode, tc.reduction, tc.seed) == ("no_reduction", 0.25, 9)
         assert (tc.lam, tc.lr, tc.beta) == (0.25, 0.02, 0.5)
         assert (tc.k, tc.hidden, tc.epochs, tc.patience) == (5, 8, 12, 6)
-        assert (tc.scorer_kind, tc.metric) == ("bilinear", "inner")
+        assert (tc.scorer_kind, tc.metric) == ("bilinear", "cosine")
 
 
 JSON_VALUES = st.recursive(
@@ -822,6 +822,37 @@ class TestGradcheckCoverage:
         for _, check in default_battery(0):
             check()
         assert trained <= seen, sorted(trained - seen)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_rows_equal_their_taped_objectives(self, monkeypatch, seed):
+        # An op row's weights 1, 2, ... and a vector stage's weights of ones
+        # give the bits of the objectives that wrap the output in tape ops.
+        real = T.gradient_check
+        calls = {}
+
+        def spy(f, inputs, weights=None):
+            calls[name] = (f, inputs, weights)
+            return real(f, inputs, weights)
+
+        monkeypatch.setattr(T, "gradient_check", spy)
+        battery = default_battery(seed)
+        for name, check in battery:
+            check()
+        assert len(calls) == len(battery)
+        vectors = {"scorer_bilinear", "scorer_mlp", "prune", "prune_pipeline"}
+        assert {name for name, (_, _, w) in calls.items() if w is None} == {"gcn_forward+task_loss", "mi_loss"}
+        for name, (f, inputs, w) in calls.items():
+            if w is None:
+                continue
+            if name in vectors:
+                assert np.array_equal(w, np.ones(w.shape))
+                wrapped = lambda *x, f=f: T.sum_all(f(*x))  # noqa: E731
+            else:
+                out = f(*inputs)
+                assert np.array_equal(w, np.arange(1.0, out.size + 1).reshape(out.shape))
+                wrapped = lambda *x, f=f, w=w: T.sum_all(T.mul(f(*x), T.constant(w)))  # noqa: E731
+            bits = [np.float64(real(*args)).view(np.uint64) for args in [(f, inputs, w), (wrapped, inputs)]]
+            assert bits[0] == bits[1], name
 
     def test_battery_checks_both_sparse_product_paths(self, monkeypatch):
         # The shapes, not a switch, put one spmm and one sddmm instance on

@@ -500,7 +500,7 @@ class TestTraining:
         identity = DiversityScorer("bilinear", {"scorer.bilinear": T.constant(np.eye(8))})
         monkeypatch.setattr(pruning, "make_scorer", lambda kind, h, rng: identity)
         g = self.small_graph()
-        cfg = self.config(reduction=0.0, beta=0.0, epochs=4, patience=4)
+        cfg = self.config(reduction=0.0, beta=0.0, epochs=4, patience=4, metric="inner")
         res = train_ingsl(g, cfg)
 
         seed = 1
@@ -609,7 +609,7 @@ class TestTraining:
 
         monkeypatch.setattr(pruning, "_structure_for_epoch", counting)
         g = generate_sbm([10, 10, 10], 0.4, 0.05, 4, 1.0, seed=3)
-        cfg = self.config(mode=mode, k=5, lr=5e-2, epochs=30, patience=patience)
+        cfg = self.config(mode=mode, k=5, lr=5e-2, epochs=30, patience=patience, metric="inner")
         rep = train_ingsl(g, cfg).report
         assert (rep.epochs_run < cfg.epochs) == (patience == 1)
         assert len(calls) == rep.epochs_run + 1

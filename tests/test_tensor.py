@@ -100,6 +100,26 @@ class TestMatmulRelu:
         with pytest.raises(ShapeError, match="^matmul_relu requires 2-D"):
             T.matmul_relu(T.constant(np.ones(3)), T.constant(np.ones((3, 2))))
 
+    @pytest.mark.parametrize("op", [T.matmul, T.matmul_relu])
+    @pytest.mark.parametrize("learned", [0, 1])
+    def test_backward_skips_constant_operand(self, op, learned):
+        # Only the operand that needs a gradient gets one computed, and its
+        # bits are those of the run where both operands are learned.
+        rng = np.random.default_rng(12)
+        a0, w0 = rng.normal(size=(5, 4)), rng.normal(size=(4, 3))
+        g = rng.normal(size=(5, 3))
+
+        def slots(learn_a, learn_w):
+            a = T.parameter(a0) if learn_a else T.constant(a0)
+            w = T.parameter(w0) if learn_w else T.constant(w0)
+            with T.Tape() as tape:
+                op(a, w)
+            return tape.nodes[0].backward_fn(g)
+
+        both = slots(True, True)
+        got = slots(learned == 0, learned == 1)
+        assert same_bits(got[learned], both[learned]) and got[1 - learned] is None
+
     def test_gcn_forward_tapes_no_pre_activation(self):
         rng = np.random.default_rng(0)
         adj = SparseAdjacency([0, 1, 1, 2], [1, 0, 2, 1], T.constant(np.full(4, 0.5)), 3)
@@ -292,6 +312,62 @@ class TestGradientCheck:
         with pytest.raises(DomainError):
             T.gradient_check(lambda p: T.sum_all(T.log(p)), [x])
         assert np.array_equal(x.data, [1.0, 5e-6])
+
+    @staticmethod
+    def error_bits(*args):
+        return np.float64(T.gradient_check(*args)).view(np.uint64)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weights_equal_a_taped_weighted_sum(self, seed):
+        # The finite differences take the product and sum in numpy, with no
+        # tape op: the same bits as the objective built from mul and sum_all.
+        rng = np.random.default_rng(seed)
+        a = T.parameter(rng.uniform(-1.0, 1.0, (5, 3)))
+        b = T.parameter(rng.uniform(-1.0, 1.0, (3, 4)))
+        w = rng.uniform(-3.0, 3.0, (5, 4))
+        wrapped = self.error_bits(lambda p, q: T.sum_all(T.mul(T.matmul(p, q), T.constant(w))), [a, b])
+        assert self.error_bits(T.matmul, [a, b], w) == wrapped
+
+    def test_scalar_output_with_scalar_weight(self):
+        x = T.parameter([0.3, -0.7, 1.1])
+        wrapped = self.error_bits(lambda p: T.mul(T.sum_all(T.exp(p)), 2.5), [x])
+        assert self.error_bits(lambda p: T.sum_all(T.exp(p)), [x], np.float64(2.5)) == wrapped
+
+    def test_fortran_ordered_weights_give_the_c_ordered_bits(self):
+        # The weights' C-ordered copy fixes the product's layout, and so the
+        # order of the sum, in both passes, even for an F-ordered output.
+        # Weights of mixed magnitude make the sum's bits depend on its order.
+        rng = np.random.default_rng(0)
+        x = T.parameter(rng.uniform(-1.0, 1.0, (6, 5)))
+        w = rng.uniform(-1.0, 1.0, (6, 5)) * 10.0 ** rng.integers(-2, 2, (6, 5))
+
+        def f(p):
+            out = T.exp(p)
+            out.data = np.asfortranarray(out.data)
+            return out
+
+        assert self.error_bits(f, [x], np.asfortranarray(w)) == self.error_bits(f, [x], w)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (6, 1), ()])
+    def test_weights_of_another_shape_raise_before_any_step(self, shape):
+        x0 = np.array([[0.5, -1.5, 2.0], [1.0, 3.0, -0.25]])
+        x = T.parameter(x0)
+        evaluations = []
+
+        def f(p):
+            evaluations.append(p.data.copy())
+            return T.exp(p)
+
+        with pytest.raises(ShapeError, match=r"^gradient_check: weights of shape"):
+            T.gradient_check(f, [x], np.ones(shape))
+        assert len(evaluations) == 1 and np.array_equal(evaluations[0], x0)
+        assert same_bits(x.data, x0)
+
+    def test_objective_error_with_weights_restores_the_perturbed_leaf(self):
+        x = T.parameter([1.0, 5e-6])
+        with pytest.raises(DomainError):
+            T.gradient_check(T.log, [x], np.array([1.0, 2.0]))
+        assert same_bits(x.data, np.array([1.0, 5e-6]))
 
     def test_leaf_from_fortran_ordered_array_is_perturbed(self):
         # A leaf built from a transpose must still see every finite-difference
