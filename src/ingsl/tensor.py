@@ -868,7 +868,8 @@ def gradient_check(f, inputs: Sequence[Tensor], weights=None) -> float:
     any coordinate is perturbed), it is sum(weights * f(x)): the analytic
     pass records ``sum_all(mul(f(x), constant(weights)))``, and each
     finite-difference evaluation takes the same product and sum in numpy,
-    on the same C-ordered copy of the weights, so it runs no op but ``f``'s.
+    on the same C-ordered copy of the weights, so it runs no op but ``f``'s;
+    it reads NaN where a step changes the output's shape.
     The error per coordinate is |analytic - numeric| / max(1, |numeric|);
     one maximum over every leaf's coordinates, NaN if any error is NaN, is
     the result.
@@ -900,7 +901,11 @@ def gradient_check(f, inputs: Sequence[Tensor], weights=None) -> float:
 
     def objective() -> float:
         d = f(*inputs).data
-        return float(d if wd is None else (d * wd).sum())
+        if wd is None:
+            return float(d)
+        # A step that changes the output's shape (say, a pruned edge set)
+        # leaves the weighted sum undefined there, and the check fails.
+        return float((d * wd).sum()) if d.shape == wd.shape else math.nan
 
     numeric = []
     for t in inputs:

@@ -363,6 +363,14 @@ class TestGradientCheck:
         assert len(evaluations) == 1 and np.array_equal(evaluations[0], x0)
         assert same_bits(x.data, x0)
 
+    def test_output_changing_shape_under_a_step_fails_as_nan(self):
+        # The entry 0.500001 leaves the kept set one step down: the weighted
+        # sum is undefined there, so the check fails rather than raising.
+        x = T.parameter([1.0, 0.500001])
+        err = T.gradient_check(lambda p: T.take(p, np.flatnonzero(p.data > 0.5)), [x], np.ones(2))
+        assert np.isnan(err)
+        assert same_bits(x.data, np.array([1.0, 0.500001]))
+
     def test_objective_error_with_weights_restores_the_perturbed_leaf(self):
         x = T.parameter([1.0, 5e-6])
         with pytest.raises(DomainError):
